@@ -37,6 +37,7 @@ __all__ = [
     "avg_kt",
     "pairwise_tally",
     "kt_matrix",
+    "kt_pair_total",
     "permute",
     "label",
     "parse_profile",
@@ -153,7 +154,11 @@ class Profile:
             weights = weight_array(weights)
         if weights.shape != (votes.shape[0],):
             raise ValueError("weights must align with vote rows")
-        if any(w < 0 for w in weights.tolist()):
+        if weights.dtype == object:
+            negative = any(w < 0 for w in weights.tolist())
+        else:
+            negative = bool((weights < 0).any())
+        if negative:
             raise ValueError("weights must be nonnegative")
         object.__setattr__(self, "votes", _readonly(votes))
         object.__setattr__(self, "weights", _readonly(weights))
@@ -211,15 +216,40 @@ class Profile:
         return _readonly(pos)
 
     def aggregated(self) -> "Profile":
-        """Merge duplicate vote rows, summing weights; drops zero weights."""
-        seen: dict[tuple, Weight] = {}
-        for row, w in zip(self.votes, self.weights.tolist()):
-            key = tuple(int(a) for a in row)
-            seen[key] = seen.get(key, 0) + w
-        items = sorted((k, w) for k, w in seen.items() if w != 0)
-        if not items:
+        """Merge duplicate vote rows, summing weights; drops zero weights.
+
+        Rows come out in lexicographic order.  Each merged weight is the
+        in-order sum of its rows' weights, so float sums round exactly as a
+        left-to-right loop would.  Integer and boolean weights give int64,
+        float weights float64 (int64 if nothing is left); other dtypes
+        (object, including Fractions) are summed as Python scalars and
+        packed by ``weight_array``.
+        """
+        k = len(self)
+        if k == 0:
             return Profile.empty(self.m)
-        return Profile.from_rankings([k for k, _ in items], [w for _, w in items], m=self.m)
+        order = np.lexsort(self.votes.T[::-1])
+        ranked = self.votes[order]
+        starts = np.ones(k, dtype=bool)
+        starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        group = np.empty(k, dtype=np.intp)
+        group[order] = np.cumsum(starts) - 1
+        unique = ranked[starts]
+        kind = self.weights.dtype.kind
+        if kind in "biuf":
+            sums = np.zeros(len(unique), dtype=np.float64 if kind == "f" else np.int64)
+            np.add.at(sums, group, self.weights.astype(sums.dtype))
+            keep = sums != 0
+            if not keep.any():
+                return Profile.empty(self.m)
+            return Profile(self.m, unique[keep], sums[keep])
+        totals: list[Weight] = [0] * len(unique)
+        for g, w in zip(group.tolist(), self.weights.tolist()):
+            totals[g] = totals[g] + w
+        keep = [g for g, w in enumerate(totals) if w != 0]
+        if not keep:
+            return Profile.empty(self.m)
+        return Profile(self.m, unique[keep], weight_array([totals[g] for g in keep]))
 
     def union(self, other: "Profile") -> "Profile":
         if other.m != self.m:
@@ -479,7 +509,11 @@ def kt_distance(r: Ranking | Sequence[int], w: Ranking | Sequence[int]) -> int:
 
 
 def kt_matrix(profile: Profile) -> np.ndarray:
-    """(k, k) matrix of KT distances between the profile's vote rows."""
+    """(k, k) matrix of KT distances between the profile's vote rows.
+
+    Builds a (k, k, m(m-1)/2) array, so it is for small profiles only;
+    ``avg_kt`` gets the same total from the tally via ``kt_pair_total``.
+    """
     k = len(profile)
     if k == 0:
         return np.zeros((0, 0), dtype=np.int64)
@@ -564,6 +598,22 @@ def slater_score(r: Ranking | Sequence[int], profile: Profile) -> int:
     return kt_to_digraph(r, umg(profile))
 
 
+def kt_pair_total(tally: np.ndarray) -> int:
+    """Sum of KT(R_i, R_j) over ordered voter pairs, from the pairwise tally.
+
+    A pair of voters disagrees on {a, b} exactly when one ranks a over b
+    and the other b over a, so the ordered-pair total is
+    sum over a < b of 2 * N[a, b] * N[b, a].  The products are taken in
+    Python integers, so the result is exact for any number of voters.
+    Requires integral tally entries.
+    """
+    iu, ju = np.triu_indices(tally.shape[0], k=1)
+    return sum(
+        2 * int(ab) * int(ba)
+        for ab, ba in zip(tally[iu, ju].tolist(), tally[ju, iu].tolist())
+    )
+
+
 def avg_kt(profile: Profile) -> float | Fraction:
     """Average KT distance over ordered pairs of distinct voters.
 
@@ -571,15 +621,17 @@ def avg_kt(profile: Profile) -> float | Fraction:
     by n(n-1); equivalently the mean KT distance between two distinct
     voters, so a two-vote profile at distance 3 has average 3.  Requires
     an integral profile with n >= 2.
+
+    The sum is read off the pairwise tally (see ``kt_pair_total``) with
+    O(m^2) exact integer work, never from the (k, k) distance matrix.  The
+    result is an int when n(n-1) divides the sum, else a float.
     """
     if not profile.is_integral:
         raise ValueError("average KT distance requires an integral profile")
     n = int(profile.n)
     if n < 2:
         raise ValueError("need at least two votes")
-    d = kt_matrix(profile)
-    w = profile.weights.astype(np.int64)
-    total = int(w @ d @ w)  # KT(s, s) = 0, so same-type pairs add nothing
+    total = kt_pair_total(pairwise_tally(profile))
     if total % (n * (n - 1)) == 0:
         return total // (n * (n - 1))
     return total / (n * (n - 1))

@@ -291,7 +291,20 @@ def mallows_pmf(param: MallowsParam, w: Ranking | Sequence[int]):
     return param.phi ** kt_distance(param.central, w) / mallows_z(param.phi, param.m)
 
 
+#: entries kept in each memo below; the oldest are evicted first
+_PAIRWISE_CACHE_SIZE = 4096
+_PMF_CACHE_SIZE = 1024  # a K=6 reduction on m=6 alternatives samples 648 types
+_TABLE_CACHE_SIZE = 64
+
 _pairwise_cache: dict[tuple, Weight] = {}
+
+
+def _remember(cache: dict, key, value, size: int):
+    """Store ``value`` under ``key``, evicting the oldest entries beyond ``size``."""
+    cache[key] = value
+    while len(cache) > size:
+        del cache[next(iter(cache))]
+    return value
 
 
 def mallows_pairwise(phi, gap: int):
@@ -319,9 +332,7 @@ def mallows_pairwise(phi, gap: int):
     for j in range(gap):
         num = num + power * s[gap - j]
         power = power * phi
-    val = num / (s[gap] * s[gap + 1])
-    _pairwise_cache[key] = val
-    return val
+    return _remember(_pairwise_cache, key, num / (s[gap] * s[gap + 1]), _PAIRWISE_CACHE_SIZE)
 
 
 def mallows_sample(param: MallowsParam, rng: np.random.Generator) -> Ranking:
@@ -504,47 +515,143 @@ def _profile_exact(pp: ParameterProfile) -> bool:
 # ---------------------------------------------------------------------------
 
 _pmf_cache: dict[ModelParam, np.ndarray] = {}
+_rankings_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_density_cache: dict[tuple, np.ndarray] = {}
 
 #: largest m for which sampling enumerates the m! outcomes and draws counts
 SAMPLE_ENUM_MAX_M = 7
 
 
+def _rankings_table(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (m!, m) arrays of all rankings in ``all_rankings`` order:
+    ``orders[r]`` is ranking r's order sequence and ``positions[r, a]`` the
+    position of alternative a in it."""
+    hit = _rankings_cache.get(m)
+    if hit is None:
+        orders = np.array(list(permutations(range(m))), dtype=np.int16).reshape(-1, m)
+        positions = np.empty_like(orders)
+        positions[np.arange(len(orders))[:, None], orders] = np.arange(m, dtype=np.int16)
+        orders.setflags(write=False)
+        positions.setflags(write=False)
+        hit = _remember(_rankings_cache, m, (orders, positions), _TABLE_CACHE_SIZE)
+    return hit
+
+
+def _mallows_density_table(phi, m: int) -> np.ndarray:
+    """float(phi**k / mallows_z(phi, m)) for k = 0 .. m(m-1)/2.
+
+    Entry k is the float ``mallows_pmf`` returns for a ranking at KT
+    distance k from the center, computed with the same operations on the
+    same types.  Keyed by the type of phi as well, because Fraction(1, 2)
+    and 0.5 are equal keys but round differently.
+    """
+    key = (type(phi), phi, m)
+    hit = _density_cache.get(key)
+    if hit is None:
+        z = mallows_z(phi, m)
+        hit = np.array([float(phi**k / z) for k in range(m * (m - 1) // 2 + 1)],
+                       dtype=np.float64)
+        hit.setflags(write=False)
+        _remember(_density_cache, key, hit, _TABLE_CACHE_SIZE)
+    return hit
+
+
 def _pmf_vector(param: ModelParam) -> np.ndarray:
+    """Normalized float density over ``all_rankings(param.m)``.
+
+    For Mallows the KT distance from the center to every ranking is one
+    vectorized inversion count over the rankings table, and each density
+    is looked up by distance, so the vector matches the per-ranking
+    ``float(mallows_pmf(...))`` loop bit for bit.
+    """
     pmf = _pmf_cache.get(param)
     if pmf is None:
-        pmf = np.array(
-            [float(param_pmf(param, r)) for r in all_rankings(param.m)], dtype=np.float64
-        )
-        pmf = pmf / pmf.sum()
-        _pmf_cache[param] = pmf
+        m = param.m
+        if isinstance(param, MallowsParam):
+            # each ranking's positions read in central order; inversions = KT
+            read = _rankings_table(m)[1][:, param.central.order]
+            iu, ju = np.triu_indices(m, k=1)
+            kts = (read[:, iu] > read[:, ju]).sum(axis=1)
+            dens = _mallows_density_table(param.phi, m)[kts]
+        else:
+            dens = np.array([float(pl_pmf(param, r)) for r in all_rankings(m)],
+                            dtype=np.float64)
+        pmf = dens / dens.sum()
+        pmf.setflags(write=False)
+        _remember(_pmf_cache, param, pmf, _PMF_CACHE_SIZE)
     return pmf
+
+
+def _mallows_votes(pp: ParameterProfile, rng: np.random.Generator) -> np.ndarray:
+    """Repeated-insertion draws for every unit of weight of a Mallows profile.
+
+    Consumes the same uniforms in the same order as one ``mallows_sample``
+    call per unit of weight, entry by entry, and makes each insertion
+    choice with the same float arithmetic, so the rows equal those calls'
+    results.  All (W, m-1) uniforms are drawn at once.  Step i (i = 2..m)
+    inserts the i-th central alternative at the first index whose
+    cumulative weight exceeds u * total; the cumulative weights never
+    decrease, so a right-sided search finds that index.  The slots are
+    then decoded into positions in O(W m^2).
+    """
+    m = pp.m
+    counts = [int(w) for _, w in pp.entries]
+    entry = np.repeat(np.arange(len(counts)), counts)
+    phis = np.array([float(p.phi) for p, _ in pp.entries])[entry]
+    u = rng.random((len(entry), m - 1))
+    slots = np.zeros((len(entry), m), dtype=np.int16)
+    for phi in np.unique(phis).tolist():
+        rows = np.flatnonzero(phis == phi)
+        for i in range(2, m + 1):
+            weights = phi ** np.arange(i - 1, -1, -1, dtype=np.float64)
+            cum = np.cumsum(weights)  # sequential, as the scalar loop adds
+            found = np.searchsorted(cum, u[rows, i - 2] * weights.sum(), side="right")
+            slots[rows, i - 1] = np.minimum(found, i - 1)
+    # pos[:, s]: where the s-th central alternative sits after the insertions so far
+    pos = np.zeros((len(entry), m), dtype=np.int16)
+    for s in range(1, m):
+        slot = slots[:, s : s + 1]
+        pos[:, :s] += pos[:, :s] >= slot
+        pos[:, s] = slot[:, 0]
+    centrals = np.array([p.central.order for p, _ in pp.entries], dtype=np.int16)
+    votes = np.empty((len(entry), m), dtype=np.int16)
+    votes[np.arange(len(entry))[:, None], pos] = centrals.reshape(-1, m)[entry]
+    return votes
 
 
 def sample_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
     """Draw one ranking per unit of weight, independently per entry.
 
-    Requires an integral parameter profile.  For small m the draw is
-    aggregated: counts over the enumerated m! rankings follow a
-    multinomial with the entry's exact density, which is distributed
-    identically to per-draw sampling and far faster at gadget scales.
+    Requires an integral parameter profile.  Two branches:
+
+    - m <= SAMPLE_ENUM_MAX_M: the draw is aggregated.  Counts over the m!
+      enumerated rankings follow a multinomial with the entry's exact
+      density, which is distributed identically to per-draw sampling and
+      far faster at gadget scales.
+    - larger m: per-draw sampling.  A Mallows profile takes all its
+      uniforms in one batch and decodes the repeated insertions in numpy;
+      it reads the same uniforms in the same order as one
+      ``mallows_sample`` call per unit of weight and returns the same
+      votes.  Plackett-Luce draws one ``pl_sample`` at a time.
+
+    Either way the result is aggregated, with rows in lexicographic order.
     """
     if not pp.is_integral:
         raise ValueError("sampling requires an integral parameter profile")
     m = pp.m
     if m <= SAMPLE_ENUM_MAX_M:
-        rankings = list(permutations(range(m)))
-        counts = np.zeros(len(rankings), dtype=np.int64)
+        orders = _rankings_table(m)[0]
+        counts = np.zeros(len(orders), dtype=np.int64)
         for param, w in pp.entries:
             counts += rng.multinomial(int(w), _pmf_vector(param))
         keep = counts.nonzero()[0]
-        votes = np.array([rankings[i] for i in keep], dtype=np.int16).reshape(-1, m)
-        return Profile(m, votes, counts[keep])
-    rows = []
-    for param, w in pp.entries:
-        for _ in range(int(w)):
-            rows.append(param_sample(param, rng).order)
-    prof = Profile.from_rankings(rows, m=m) if rows else Profile.empty(m)
-    return prof.aggregated()
+        return Profile(m, orders[keep], counts[keep])
+    if pp.family == "pl":
+        rows = [pl_sample(p, rng).order for p, w in pp.entries for _ in range(int(w))]
+        votes = np.array(rows, dtype=np.int16).reshape(-1, m)
+    else:
+        votes = _mallows_votes(pp, rng)
+    return Profile(m, votes, np.ones(len(votes), dtype=np.int64)).aggregated()
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 Two routes to the Kemeny optimum: full enumeration over the m! rankings,
 and a position-window dynamic program whose state count is governed by
-the ceiling d of the profile's average pairwise KT distance.  Both break
-score ties by the lexicographically smallest order sequence, so results
-are reproducible and directly comparable.
+the ceiling d of the profile's average pairwise KT distance.  That average
+comes from the pairwise tally N: the KT distances over ordered voter pairs
+sum to the sum over a < b of 2 N[a, b] N[b, a], so d takes O(m^2) exact
+integer work on top of the tally and no (k, k) distance matrix over the k
+distinct votes.  Both routes break score ties by the lexicographically
+smallest order sequence, so results are reproducible and directly
+comparable.
 
 The window is provably safe: in any optimal ranking the position of a
 candidate differs from its average vote position by less than the average
@@ -28,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Profile, Ranking, Weight, kemeny_score, kt_matrix, pairwise_tally, umg
+from .core import Profile, Ranking, Weight, kemeny_score, kt_pair_total, pairwise_tally, umg
 
 __all__ = [
     "DpDiagnostics",
@@ -208,14 +212,9 @@ def slater_brute(
 # ---------------------------------------------------------------------------
 
 
-def _avg_kt_ceil(profile: Profile) -> int:
+def _avg_kt_ceil(n_tally: np.ndarray, n: int) -> int:
     """Ceiling of the ordered-pair average KT distance, in exact integers."""
-    n = int(profile.n)
-    d = kt_matrix(profile)
-    w = profile.weights.astype(np.int64)
-    total = int(w @ d @ w)
-    denom = n * (n - 1)
-    return -(-total // denom)
+    return -(-kt_pair_total(n_tally) // (n * (n - 1)))
 
 
 def kemeny_dp(
@@ -250,13 +249,13 @@ def kemeny_dp(
     if n == 1:
         return SolveResult(first_vote, 0, time.perf_counter() - start, 0, "dp",
                            DpDiagnostics(0, 0, 0))
-    d = _avg_kt_ceil(agg)
+    n_tally = pairwise_tally(agg).astype(np.int64)
+    d = _avg_kt_ceil(n_tally, n)
     if d == 0:
         return SolveResult(first_vote, 0, time.perf_counter() - start, 0, "dp",
                            DpDiagnostics(0, 0, 1))
     radius = int(np.ceil(window_slack * d))
 
-    n_tally = pairwise_tally(agg).astype(np.int64)
     colsum = n_tally.sum(axis=0)
 
     # average positions, kept exact: pbar_num[c] = n * (1-based average position)

@@ -361,3 +361,117 @@ def test_parse_profile_fractional_weights():
     assert not prof.is_integral
     text = format_profile(prof)
     assert dict(parse_profile(text).entries()) == weights
+
+
+# ---------------------------------------------------------------------------
+# tally-based average distance and vectorized aggregation against references
+# ---------------------------------------------------------------------------
+
+
+def _kt_matrix_avg(profile):
+    """Reference: the ordered-pair total from the (k, k) distance matrix."""
+    n = int(profile.n)
+    w = np.array([int(x) for x in profile.weights.tolist()], dtype=np.int64)
+    total = int(w @ kt_matrix(profile) @ w)
+    if total % (n * (n - 1)) == 0:
+        return total // (n * (n - 1))
+    return total / (n * (n - 1))
+
+
+def test_avg_kt_tally_matches_kt_matrix_oracle():
+    rng = np.random.default_rng(41)
+    cases = [Profile.from_rankings([R123, R321]), CYCLIC3]
+    for m in (2, 3, 5, 7):
+        for k in (1, 2, 9, 40):
+            rows = [tuple(rng.permutation(m).tolist()) for _ in range(k)]
+            counts = rng.integers(0, 6, size=k).tolist()
+            counts[0] += 2
+            cases.append(Profile.from_rankings(rows, counts, m=m))
+            cases.append(Profile.from_rankings(rows, [Fraction(c) for c in counts], m=m))
+    divisible = 0
+    for prof in cases:
+        got, want = avg_kt(prof), _kt_matrix_avg(prof)
+        assert type(got) is type(want)
+        assert got == want
+        divisible += isinstance(got, int)
+    assert 0 < divisible < len(cases)
+
+
+def _dict_loop_aggregated(profile):
+    """Reference: the per-row dict merge."""
+    seen = {}
+    for row, w in zip(profile.votes, profile.weights.tolist()):
+        key = tuple(int(a) for a in row)
+        seen[key] = seen.get(key, 0) + w
+    items = sorted((k, w) for k, w in seen.items() if w != 0)
+    if not items:
+        return Profile.empty(profile.m)
+    return Profile.from_rankings([k for k, _ in items], [w for _, w in items], m=profile.m)
+
+
+def _same_profile(a, b):
+    return (
+        a.votes.tobytes() == b.votes.tobytes()
+        and a.votes.shape == b.votes.shape
+        and a.weights.dtype == b.weights.dtype
+        and [(type(x), x) for x in a.weights.tolist()]
+        == [(type(x), x) for x in b.weights.tolist()]
+    )
+
+
+def test_aggregated_matches_dict_loop():
+    rng = np.random.default_rng(43)
+    m, k = 5, 400
+    votes = np.tile(rng.permuted(np.tile(np.arange(m), (30, 1)), axis=1), (k // 30 + 1, 1))[:k]
+    rng.shuffle(votes)
+    int_w = rng.integers(0, 4, size=k)
+    float_w = rng.random(k) * rng.choice([0.0, 1e-3, 1.0, 1e9], size=k)
+    mixed = [Fraction(int(i), 3) if i % 2 else float(f) for i, f in zip(int_w, float_w)]
+    fracs = [Fraction(int(i), 7) for i in int_w]
+    profiles = [
+        Profile(m, votes, int_w),
+        Profile(m, votes, float_w),
+        Profile(m, votes, np.asarray(float_w, dtype=np.float32)),
+        Profile(m, votes, fracs),
+        Profile(m, votes, mixed),
+        Profile(m, votes, np.zeros(k, dtype=np.int64)),
+        Profile(m, votes, np.zeros(k)),
+        Profile(m, votes[:0], np.zeros(0)),
+        Profile.empty(m),
+        Profile.from_rankings([R321, R123, R321, R231], [1, 0, 2, 0]),
+    ]
+    for prof in profiles:
+        assert _same_profile(prof.aggregated(), _dict_loop_aggregated(prof))
+
+
+def test_negative_weights_rejected_for_every_dtype():
+    for weights in ([-1], np.array([-0.5]), [Fraction(-1, 2)]):
+        with pytest.raises(ValueError):
+            Profile.from_rankings([R123], weights=weights)
+    assert int(Profile.from_rankings([R123], weights=np.array([-0.0])).n) == 0
+
+
+def test_hot_paths_never_build_kt_matrix(monkeypatch):
+    """An m=8 profile with ~2,000 distinct votes would need a 2000 x 2000 x 28
+    distance array; every average-distance consumer must read the tally."""
+    import sys
+
+    from votelab.harness import ExperimentConfig, avg_kt_concentration_check
+    from votelab.solvers import kemeny_dp
+
+    def boom(profile):
+        raise AssertionError("kt_matrix called on a hot path")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("votelab") and hasattr(mod, "kt_matrix"):
+            monkeypatch.setattr(mod, "kt_matrix", boom)
+    m, n = 8, 2000
+    rng = np.random.default_rng(47)
+    votes = rng.permuted(np.tile(np.arange(m, dtype=np.int16), (n, 1)), axis=1)
+    central = Profile(m, votes, np.ones(n, dtype=np.int64)).aggregated()
+    assert len(central) > 1900
+    assert avg_kt(central) > 0
+    assert kemeny_dp(central).diagnostics.d > 0
+    cfg = ExperimentConfig(experiment="concentration", m=m, n=n, phi=0.5, t=2.0, trials=1, seed=3)
+    report, _ = avg_kt_concentration_check(cfg, central=central)
+    assert report.passed

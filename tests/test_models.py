@@ -453,3 +453,130 @@ def test_pl_sample_concentrated_head():
     rng = np.random.default_rng(6)
     draws = [pl_sample(p, rng) for _ in range(200)]
     assert all(d.order[0] == 0 for d in draws)
+
+
+# ---------------------------------------------------------------------------
+# vectorized paths against the per-ranking and per-draw references
+# ---------------------------------------------------------------------------
+
+
+def _per_ranking_pmf(param):
+    """Reference: one float density per enumerated ranking, then normalized."""
+    from votelab.models import param_pmf
+
+    dens = np.array([float(param_pmf(param, r)) for r in all_rankings(param.m)],
+                    dtype=np.float64)
+    return dens / dens.sum()
+
+
+def test_pmf_vector_bit_identical_to_per_ranking_density():
+    from votelab.models import _pmf_vector
+
+    rng = np.random.default_rng(29)
+    for m in range(2, 8):
+        for phi in (HALF, Fraction(1), Fraction(2, 7), 0.3, 1.0, 0.77):
+            param = MallowsParam(Ranking(tuple(rng.permutation(m).tolist())), phi)
+            assert _pmf_vector(param).tobytes() == _per_ranking_pmf(param).tobytes()
+        pl = PlackettLuceParam.from_utilities((rng.random(m) + 0.1).tolist())
+        assert _pmf_vector(pl).tobytes() == _per_ranking_pmf(pl).tobytes()
+
+
+def test_density_table_keeps_fraction_and_float_phi_apart():
+    # Fraction(0.1) == 0.1, but the exact density rounds once, the float one per step
+    from votelab.models import _mallows_density_table
+
+    phi_q, phi_f = Fraction(0.1), 0.1
+    approx = _mallows_density_table(phi_f, 6)
+    exact = _mallows_density_table(phi_q, 6)
+    z_exact, z_float = mallows_z(phi_q, 6), mallows_z(phi_f, 6)
+    assert exact.tolist() == [float(phi_q**k / z_exact) for k in range(16)]
+    assert approx.tolist() == [phi_f**k / z_float for k in range(16)]
+    assert exact.tolist() != approx.tolist()
+
+
+def test_pmf_cache_is_bounded_and_evicts_oldest(monkeypatch):
+    from votelab import models
+
+    monkeypatch.setattr(models, "_pmf_cache", {})
+    monkeypatch.setattr(models, "_PMF_CACHE_SIZE", 4)
+    params = [MallowsParam(ladder(3), Fraction(1, k)) for k in range(1, 7)]
+    for p in params:
+        models._pmf_vector(p)
+    assert list(models._pmf_cache) == params[2:]
+    assert models._pmf_vector(params[0]).tobytes() == _per_ranking_pmf(params[0]).tobytes()
+
+
+def test_pairwise_cache_is_bounded(monkeypatch):
+    from votelab import models
+
+    monkeypatch.setattr(models, "_pairwise_cache", {})
+    monkeypatch.setattr(models, "_PAIRWISE_CACHE_SIZE", 3)
+    for gap in range(1, 6):
+        mallows_pairwise(HALF, gap)
+    assert [key[2] for key in models._pairwise_cache] == [3, 4, 5]
+
+
+def _aggregated_rows(rows):
+    """Reference aggregation of scalar draws: (row, count) pairs in row order."""
+    tally: dict[tuple, int] = {}
+    for row in rows:
+        tally[row] = tally.get(row, 0) + 1
+    return sorted(tally.items())
+
+
+@pytest.mark.parametrize("m", [8, 9])
+def test_batched_sampler_matches_scalar_draws(m):
+    # weights 0, 1 and > 1; two distinct float dispersions, one given as a Fraction
+    rng = np.random.default_rng(m)
+    phis = (0.5, Fraction(1, 3), 0.9, 0.5, Fraction(1, 2), 0.9)
+    weights = (0, 1, 5, 17, 2, 40)
+    entries = tuple(
+        (MallowsParam(Ranking(tuple(rng.permutation(m).tolist())), phi), w)
+        for phi, w in zip(phis, weights)
+    )
+    pp = ParameterProfile(m, entries)
+    fast_rng, slow_rng = np.random.default_rng(11), np.random.default_rng(11)
+    prof = sample_profile(pp, fast_rng)
+    rows = [mallows_sample(p, slow_rng).order for p, w in entries for _ in range(w)]
+    expected = _aggregated_rows(rows)
+    assert [tuple(r) for r in prof.votes.tolist()] == [r for r, _ in expected]
+    assert prof.weights.dtype == np.int64
+    assert prof.weights.tolist() == [w for _, w in expected]
+    # the same number of uniforms was consumed
+    assert fast_rng.random() == slow_rng.random()
+
+
+def test_batched_sampler_empty_profile():
+    pp = ParameterProfile(8, ((MallowsParam(ladder(8), 0.5), 0),))
+    rng = np.random.default_rng(4)
+    prof = sample_profile(pp, rng)
+    assert len(prof) == 0 and prof.m == 8
+    assert rng.random() == np.random.default_rng(4).random()
+
+
+class _ScriptedUniforms:
+    """Stand-in generator replaying a fixed cycle of uniforms, scalar or batched."""
+
+    def __init__(self, values):
+        self.values = values
+        self.i = 0
+
+    def random(self, size=None):
+        count = 1 if size is None else int(np.prod(size))
+        out = [self.values[(self.i + k) % len(self.values)] for k in range(count)]
+        self.i += count
+        return out[0] if size is None else np.array(out, dtype=np.float64).reshape(size)
+
+
+def test_batched_sampler_breaks_exact_ties_like_scalar_loop():
+    # at phi = 1 and phi = 1/2 these uniforms make u * total land exactly on a
+    # cumulative weight, where the scalar loop moves on to the next slot
+    uniforms = [0.5, 0.25, 0.75, 0.0, 0.125, 0.5]
+    entries = ((MallowsParam(ladder(8), 1.0), 7), (MallowsParam(ladder(8).reversed(), 0.5), 7))
+    pp = ParameterProfile(8, entries)
+    prof = sample_profile(pp, _ScriptedUniforms(uniforms))
+    scalar = _ScriptedUniforms(uniforms)
+    rows = [mallows_sample(p, scalar).order for p, w in entries for _ in range(w)]
+    expected = _aggregated_rows(rows)
+    assert [tuple(r) for r in prof.votes.tolist()] == [r for r, _ in expected]
+    assert prof.weights.tolist() == [w for _, w in expected]
