@@ -37,7 +37,6 @@ __all__ = [
     "avg_kt",
     "pairwise_tally",
     "kt_matrix",
-    "kt_pair_total",
     "permute",
     "label",
     "parse_profile",
@@ -228,6 +227,8 @@ class Profile:
         k = len(self)
         if k == 0:
             return Profile.empty(self.m)
+        # np.unique(votes, axis=0, return_inverse=True) gives the same rows and
+        # groups, but took 10-14x as long for k = 2,000-40,000 rows of m = 7-8
         order = np.lexsort(self.votes.T[::-1])
         ranked = self.votes[order]
         starts = np.ones(k, dtype=bool)
@@ -512,7 +513,7 @@ def kt_matrix(profile: Profile) -> np.ndarray:
     """(k, k) matrix of KT distances between the profile's vote rows.
 
     Builds a (k, k, m(m-1)/2) array, so it is for small profiles only;
-    ``avg_kt`` gets the same total from the tally via ``kt_pair_total``.
+    ``avg_kt`` gets the same total from the tally via ``_kt_pair_total``.
     """
     k = len(profile)
     if k == 0:
@@ -598,7 +599,7 @@ def slater_score(r: Ranking | Sequence[int], profile: Profile) -> int:
     return kt_to_digraph(r, umg(profile))
 
 
-def kt_pair_total(tally: np.ndarray) -> int:
+def _kt_pair_total(tally: np.ndarray) -> int:
     """Sum of KT(R_i, R_j) over ordered voter pairs, from the pairwise tally.
 
     A pair of voters disagrees on {a, b} exactly when one ranks a over b
@@ -622,7 +623,7 @@ def avg_kt(profile: Profile) -> float | Fraction:
     voters, so a two-vote profile at distance 3 has average 3.  Requires
     an integral profile with n >= 2.
 
-    The sum is read off the pairwise tally (see ``kt_pair_total``) with
+    The sum is read off the pairwise tally (see ``_kt_pair_total``) with
     O(m^2) exact integer work, never from the (k, k) distance matrix.  The
     result is an int when n(n-1) divides the sum, else a float.
     """
@@ -631,7 +632,7 @@ def avg_kt(profile: Profile) -> float | Fraction:
     n = int(profile.n)
     if n < 2:
         raise ValueError("need at least two votes")
-    total = kt_pair_total(pairwise_tally(profile))
+    total = _kt_pair_total(pairwise_tally(profile))
     if total % (n * (n - 1)) == 0:
         return total // (n * (n - 1))
     return total / (n * (n - 1))

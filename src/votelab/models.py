@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
+from math import factorial
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -291,22 +293,7 @@ def mallows_pmf(param: MallowsParam, w: Ranking | Sequence[int]):
     return param.phi ** kt_distance(param.central, w) / mallows_z(param.phi, param.m)
 
 
-#: entries kept in each memo below; the oldest are evicted first
-_PAIRWISE_CACHE_SIZE = 4096
-_PMF_CACHE_SIZE = 1024  # a K=6 reduction on m=6 alternatives samples 648 types
-_TABLE_CACHE_SIZE = 64
-
-_pairwise_cache: dict[tuple, Weight] = {}
-
-
-def _remember(cache: dict, key, value, size: int):
-    """Store ``value`` under ``key``, evicting the oldest entries beyond ``size``."""
-    cache[key] = value
-    while len(cache) > size:
-        del cache[next(iter(cache))]
-    return value
-
-
+@lru_cache(maxsize=4096, typed=True)
 def mallows_pairwise(phi, gap: int):
     """Probability that the alternative ranked ``gap`` positions earlier in
     the central ranking beats the later one.
@@ -322,17 +309,13 @@ def mallows_pairwise(phi, gap: int):
         phi = Fraction(phi)
     if not 0 < phi <= 1:
         raise ValueError("phi must be in (0, 1]")
-    key = (type(phi).__name__, phi, gap)
-    hit = _pairwise_cache.get(key)
-    if hit is not None:
-        return hit
     s = [_geo_sum(phi, j) for j in range(gap + 2)]
     num = phi * 0
     power = phi**0
     for j in range(gap):
         num = num + power * s[gap - j]
         power = power * phi
-    return _remember(_pairwise_cache, key, num / (s[gap] * s[gap + 1]), _PAIRWISE_CACHE_SIZE)
+    return num / (s[gap] * s[gap + 1])
 
 
 def mallows_sample(param: MallowsParam, rng: np.random.Generator) -> Ranking:
@@ -514,71 +497,50 @@ def _profile_exact(pp: ParameterProfile) -> bool:
 # profile sampling
 # ---------------------------------------------------------------------------
 
-_pmf_cache: dict[ModelParam, np.ndarray] = {}
-_rankings_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_density_cache: dict[tuple, np.ndarray] = {}
-
 #: largest m for which sampling enumerates the m! outcomes and draws counts
 SAMPLE_ENUM_MAX_M = 7
 
 
+@lru_cache(maxsize=SAMPLE_ENUM_MAX_M)
 def _rankings_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (m!, m) arrays of all rankings in ``all_rankings`` order:
     ``orders[r]`` is ranking r's order sequence and ``positions[r, a]`` the
     position of alternative a in it."""
-    hit = _rankings_cache.get(m)
-    if hit is None:
-        orders = np.array(list(permutations(range(m))), dtype=np.int16).reshape(-1, m)
-        positions = np.empty_like(orders)
-        positions[np.arange(len(orders))[:, None], orders] = np.arange(m, dtype=np.int16)
-        orders.setflags(write=False)
-        positions.setflags(write=False)
-        hit = _remember(_rankings_cache, m, (orders, positions), _TABLE_CACHE_SIZE)
-    return hit
+    orders = np.array(list(permutations(range(m))), dtype=np.int16).reshape(-1, m)
+    positions = np.empty_like(orders)
+    positions[np.arange(len(orders))[:, None], orders] = np.arange(m, dtype=np.int16)
+    orders.setflags(write=False)
+    positions.setflags(write=False)
+    return orders, positions
 
 
-def _mallows_density_table(phi, m: int) -> np.ndarray:
-    """float(phi**k / mallows_z(phi, m)) for k = 0 .. m(m-1)/2.
-
-    Entry k is the float ``mallows_pmf`` returns for a ranking at KT
-    distance k from the center, computed with the same operations on the
-    same types.  Keyed by the type of phi as well, because Fraction(1, 2)
-    and 0.5 are equal keys but round differently.
-    """
-    key = (type(phi), phi, m)
-    hit = _density_cache.get(key)
-    if hit is None:
-        z = mallows_z(phi, m)
-        hit = np.array([float(phi**k / z) for k in range(m * (m - 1) // 2 + 1)],
-                       dtype=np.float64)
-        hit.setflags(write=False)
-        _remember(_density_cache, key, hit, _TABLE_CACHE_SIZE)
-    return hit
-
-
+# Sized so that every type of one profile stays cached while it is sampled
+# again: a profile over m alternatives has at most m! distinct parameters
+# of one dispersion, as every gadget profile does.  Cyclic access to more
+# types than this would miss on every lookup.
+@lru_cache(maxsize=factorial(SAMPLE_ENUM_MAX_M))
 def _pmf_vector(param: ModelParam) -> np.ndarray:
     """Normalized float density over ``all_rankings(param.m)``.
 
     For Mallows the KT distance from the center to every ranking is one
-    vectorized inversion count over the rankings table, and each density
-    is looked up by distance, so the vector matches the per-ranking
+    vectorized inversion count over the rankings table.  Each density is
+    ``float(phi**k / mallows_z(phi, m))`` for that distance k, the float
+    ``mallows_pmf`` gives, so the vector matches the per-ranking
     ``float(mallows_pmf(...))`` loop bit for bit.
     """
-    pmf = _pmf_cache.get(param)
-    if pmf is None:
-        m = param.m
-        if isinstance(param, MallowsParam):
-            # each ranking's positions read in central order; inversions = KT
-            read = _rankings_table(m)[1][:, param.central.order]
-            iu, ju = np.triu_indices(m, k=1)
-            kts = (read[:, iu] > read[:, ju]).sum(axis=1)
-            dens = _mallows_density_table(param.phi, m)[kts]
-        else:
-            dens = np.array([float(pl_pmf(param, r)) for r in all_rankings(m)],
-                            dtype=np.float64)
-        pmf = dens / dens.sum()
-        pmf.setflags(write=False)
-        _remember(_pmf_cache, param, pmf, _PMF_CACHE_SIZE)
+    m = param.m
+    if isinstance(param, MallowsParam):
+        # each ranking's positions read in central order; inversions = KT
+        read = _rankings_table(m)[1][:, param.central.order]
+        iu, ju = np.triu_indices(m, k=1)
+        kts = (read[:, iu] > read[:, ju]).sum(axis=1)
+        phi, z = param.phi, mallows_z(param.phi, m)
+        by_kt = np.array([float(phi**k / z) for k in range(len(iu) + 1)], dtype=np.float64)
+        dens = by_kt[kts]
+    else:
+        dens = np.array([float(pl_pmf(param, r)) for r in all_rankings(m)], dtype=np.float64)
+    pmf = dens / dens.sum()
+    pmf.setflags(write=False)
     return pmf
 
 

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Profile, Ranking, Weight, kemeny_score, kt_pair_total, pairwise_tally, umg
+from .core import Profile, Ranking, Weight, _kt_pair_total, kemeny_score, pairwise_tally, umg
 
 __all__ = [
     "DpDiagnostics",
@@ -212,11 +212,6 @@ def slater_brute(
 # ---------------------------------------------------------------------------
 
 
-def _avg_kt_ceil(n_tally: np.ndarray, n: int) -> int:
-    """Ceiling of the ordered-pair average KT distance, in exact integers."""
-    return -(-kt_pair_total(n_tally) // (n * (n - 1)))
-
-
 def kemeny_dp(
     profile: Profile,
     window_slack: float = 1.0,
@@ -250,7 +245,7 @@ def kemeny_dp(
         return SolveResult(first_vote, 0, time.perf_counter() - start, 0, "dp",
                            DpDiagnostics(0, 0, 0))
     n_tally = pairwise_tally(agg).astype(np.int64)
-    d = _avg_kt_ceil(n_tally, n)
+    d = -(-_kt_pair_total(n_tally) // (n * (n - 1)))  # ceiling of the average KT distance
     if d == 0:
         return SolveResult(first_vote, 0, time.perf_counter() - start, 0, "dp",
                            DpDiagnostics(0, 0, 1))

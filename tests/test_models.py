@@ -472,48 +472,52 @@ def _per_ranking_pmf(param):
 def test_pmf_vector_bit_identical_to_per_ranking_density():
     from votelab.models import _pmf_vector
 
+    pmf = _pmf_vector.__wrapped__  # the kernel itself, not a cached vector of an equal param
     rng = np.random.default_rng(29)
     for m in range(2, 8):
         for phi in (HALF, Fraction(1), Fraction(2, 7), 0.3, 1.0, 0.77):
             param = MallowsParam(Ranking(tuple(rng.permutation(m).tolist())), phi)
-            assert _pmf_vector(param).tobytes() == _per_ranking_pmf(param).tobytes()
+            assert pmf(param).tobytes() == _per_ranking_pmf(param).tobytes()
         pl = PlackettLuceParam.from_utilities((rng.random(m) + 0.1).tolist())
-        assert _pmf_vector(pl).tobytes() == _per_ranking_pmf(pl).tobytes()
+        assert pmf(pl).tobytes() == _per_ranking_pmf(pl).tobytes()
 
 
-def test_density_table_keeps_fraction_and_float_phi_apart():
+def test_pmf_vector_rounds_fraction_and_float_phi_as_the_density_does():
     # Fraction(0.1) == 0.1, but the exact density rounds once, the float one per step
-    from votelab.models import _mallows_density_table
+    from votelab.models import _pmf_vector
 
-    phi_q, phi_f = Fraction(0.1), 0.1
-    approx = _mallows_density_table(phi_f, 6)
-    exact = _mallows_density_table(phi_q, 6)
-    z_exact, z_float = mallows_z(phi_q, 6), mallows_z(phi_f, 6)
-    assert exact.tolist() == [float(phi_q**k / z_exact) for k in range(16)]
-    assert approx.tolist() == [phi_f**k / z_float for k in range(16)]
-    assert exact.tolist() != approx.tolist()
+    exact = _pmf_vector.__wrapped__(MallowsParam(ladder(6), Fraction(0.1)))
+    approx = _pmf_vector.__wrapped__(MallowsParam(ladder(6), 0.1))
+    assert exact.tobytes() == _per_ranking_pmf(MallowsParam(ladder(6), Fraction(0.1))).tobytes()
+    assert approx.tobytes() == _per_ranking_pmf(MallowsParam(ladder(6), 0.1)).tobytes()
+    assert exact.tobytes() != approx.tobytes()
 
 
-def test_pmf_cache_is_bounded_and_evicts_oldest(monkeypatch):
-    from votelab import models
+def test_pmf_cache_keeps_every_type_of_a_resampled_profile():
+    # 1,440 types (two dispersions, every central at m=6): sampling the profile
+    # again must hit the cache for every type, not evict them cyclically
+    from itertools import permutations
 
-    monkeypatch.setattr(models, "_pmf_cache", {})
-    monkeypatch.setattr(models, "_PMF_CACHE_SIZE", 4)
-    params = [MallowsParam(ladder(3), Fraction(1, k)) for k in range(1, 7)]
-    for p in params:
-        models._pmf_vector(p)
-    assert list(models._pmf_cache) == params[2:]
-    assert models._pmf_vector(params[0]).tobytes() == _per_ranking_pmf(params[0]).tobytes()
+    from votelab.models import SAMPLE_ENUM_MAX_M, _pmf_vector
+
+    assert _pmf_vector.cache_info().maxsize == math.factorial(SAMPLE_ENUM_MAX_M)
+    pp = ParameterProfile.from_entries(6, [
+        (MallowsParam(Ranking(r), phi), 1)
+        for r in permutations(range(6)) for phi in (Fraction(1, 3), Fraction(2, 3))
+    ])
+    rng = np.random.default_rng(41)
+    sample_profile(pp, rng)
+    before = _pmf_vector.cache_info()
+    sample_profile(pp, rng)
+    after = _pmf_vector.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1440, 0)
 
 
-def test_pairwise_cache_is_bounded(monkeypatch):
-    from votelab import models
-
-    monkeypatch.setattr(models, "_pairwise_cache", {})
-    monkeypatch.setattr(models, "_PAIRWISE_CACHE_SIZE", 3)
-    for gap in range(1, 6):
-        mallows_pairwise(HALF, gap)
-    assert [key[2] for key in models._pairwise_cache] == [3, 4, 5]
+def test_pairwise_cache_is_bounded_and_typed():
+    assert mallows_pairwise.cache_info().maxsize is not None
+    # equal keys, different types: each is cached with its own exactness
+    assert isinstance(mallows_pairwise(HALF, 3), Fraction)
+    assert isinstance(mallows_pairwise(0.5, 3), float)
 
 
 def _aggregated_rows(rows):
