@@ -513,7 +513,7 @@ def kt_matrix(profile: Profile) -> np.ndarray:
     """(k, k) matrix of KT distances between the profile's vote rows.
 
     Builds a (k, k, m(m-1)/2) array, so it is for small profiles only;
-    ``avg_kt`` gets the same total from the tally via ``_kt_pair_total``.
+    ``avg_kt`` gets the same total from the pairwise tally.
     """
     k = len(profile)
     if k == 0:
@@ -623,9 +623,10 @@ def avg_kt(profile: Profile) -> float | Fraction:
     voters, so a two-vote profile at distance 3 has average 3.  Requires
     an integral profile with n >= 2.
 
-    The sum is read off the pairwise tally (see ``_kt_pair_total``) with
-    O(m^2) exact integer work, never from the (k, k) distance matrix.  The
-    result is an int when n(n-1) divides the sum, else a float.
+    The sum is read off the pairwise tally N as the sum over a < b of
+    2 N[a, b] N[b, a], with O(m^2) exact integer work, never from the
+    (k, k) distance matrix.  The result is an int when n(n-1) divides the
+    sum, else a float.
     """
     if not profile.is_integral:
         raise ValueError("average KT distance requires an integral profile")
