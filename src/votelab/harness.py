@@ -21,15 +21,15 @@ from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .core import Profile, avg_kt
 from .gadgets import FasInstance, ReductionConfig, build_instance_profile, load_fas, run_reduction
 from .models import (
     DispersionVector,
-    MallowsParam,
     ParameterProfile,
+    mallows_parameter_profile,
     mean_expected_kt_bound,
+    sample_mallows_around,
     sample_profile,
 )
 from .solvers import get_solver, kemeny_dp
@@ -189,12 +189,6 @@ def central_profile(kind: str, m: int, n: int, rng: np.random.Generator) -> Prof
     else:
         raise ValueError(f"unknown central profile kind {kind!r}")
     return Profile.from_rankings(rows, m=m).aggregated()
-
-
-def mallows_parameter_profile(central: Profile, phi) -> ParameterProfile:
-    """Per-voter Mallows parameters with a shared dispersion."""
-    pairs = [(MallowsParam(r, phi), w) for r, w in central.entries()]
-    return ParameterProfile.from_entries(central.m, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +385,12 @@ def avg_kt_concentration_check(
     """Estimate how often the sampled average distance exceeds its bound.
 
     Samples profiles from per-voter Mallows noise around the central
-    profile and counts trials with average KT distance above
+    profile (``sample_mallows_around``, one vote per voter at the shared
+    dispersion) and counts trials with average KT distance above
     avg_kt(central) + 2 * (mean expected-distance bound) + t; the rate is
     compared against the Hoeffding tail exp(-2nt^2 / (m^2 (m-1)^2)) plus
-    three binomial sigmas of slack.
+    three binomial sigmas of slack.  ``phis`` must hold one dispersion per
+    voter, all equal.
     """
     rng_central = trial_rng(cfg.seed, 0)
     central = central if central is not None else central_profile(cfg.central, cfg.m, cfg.n, rng_central)
@@ -410,12 +406,11 @@ def avg_kt_concentration_check(
     base = float(avg_kt(central))
     phi_star = mean_expected_kt_bound(phis, cfg.m)
     threshold = base + 2.0 * phi_star + cfg.t
-    adversary = mallows_parameter_profile(central, phis.phis[0])
     violations = 0
     rows = []
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, 1, trial)
-        sampled = sample_profile(adversary, rng)
+        sampled = sample_mallows_around(central, phis.phis[0], rng)
         val = float(avg_kt(sampled))
         hit = val > threshold
         violations += hit
@@ -467,10 +462,12 @@ def dp_smoothed_check(
 ) -> tuple[DpEnvelopeReport, list[dict]]:
     """Validate the distance parameter and the DP cost envelope on samples.
 
-    (a) the sampled profile's distance parameter stays at or below
-    d = ceil(avg_kt(central) + 2 * mean-bound + t) with frequency at least
-    1 - Hoeffding tail - 3 sigma; (b) on every sampled profile the window
-    DP's op_count stays within the calibrated envelope
+    Each trial samples per-voter Mallows noise around the central profile
+    with ``sample_mallows_around``; ``phis`` must hold one dispersion per
+    voter, all equal.  (a) the sampled profile's distance parameter stays
+    at or below d = ceil(avg_kt(central) + 2 * mean-bound + t) with
+    frequency at least 1 - Hoeffding tail - 3 sigma; (b) on every sampled
+    profile the window DP's op_count stays within the calibrated envelope
     DP_ENVELOPE_C * 16^d * d^2 * n^2 * m^2 * log2(m) at the profile's own
     distance parameter.
     """
@@ -478,19 +475,20 @@ def dp_smoothed_check(
     central = central if central is not None else central_profile(cfg.central, cfg.m, cfg.n, rng_central)
     n = int(central.n)
     phis = phis if phis is not None else DispersionVector((cfg.phi,) * n)
+    if phis.n != n:
+        raise ValueError("dispersion vector must have one value per voter")
     if len(set(phis.phis)) != 1:
         raise ValueError("per-voter distinct dispersions are not supported here")
     base = float(avg_kt(central))
     phi_star = mean_expected_kt_bound(phis, cfg.m)
     d = math.ceil(base + 2.0 * phi_star + cfg.t)
-    adversary = mallows_parameter_profile(central, phis.phis[0])
     within = 0
     env_ok = True
     max_ratio = 0.0
     rows = []
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, 1, trial)
-        sampled = sample_profile(adversary, rng)
+        sampled = sample_mallows_around(central, phis.phis[0], rng)
         res = kemeny_dp(sampled)
         dbar = res.diagnostics.d
         envelope = DP_ENVELOPE_C * dp_runtime_envelope(dbar, n, cfg.m)
@@ -695,6 +693,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 def chi_square_gof(counts: Sequence[int], probs: Sequence[float]) -> tuple[float, float]:
     """Chi-square goodness of fit of observed counts against probabilities."""
+    # imported here, not at module top: scipy.stats dominates the package's
+    # start-up time, and only this check needs it
+    from scipy import stats as sp_stats
+
     counts = np.asarray(counts, dtype=float)
     probs = np.asarray(probs, dtype=float)
     expected = probs / probs.sum() * counts.sum()

@@ -57,12 +57,24 @@ __all__ = [
     "kt_bound",
     "mean_expected_kt_bound",
     "sample_profile",
+    "mallows_parameter_profile",
+    "sample_mallows_around",
     "permute_param",
     "parse_parameter_profile",
     "format_parameter_profile",
     "load_parameter_profile",
     "save_parameter_profile",
 ]
+
+
+def _checked_phi(phi):
+    """A Mallows dispersion as ``MallowsParam`` stores it: ints become
+    Fractions, and the value must lie in (0, 1]."""
+    if isinstance(phi, int):
+        phi = Fraction(phi)
+    if not 0 < phi <= 1:
+        raise ValueError(f"phi must be in (0, 1], got {phi}")
+    return phi
 
 
 @dataclass(frozen=True)
@@ -80,10 +92,7 @@ class MallowsParam:
 
     def __post_init__(self):
         object.__setattr__(self, "central", as_ranking(self.central))
-        if isinstance(self.phi, int):
-            object.__setattr__(self, "phi", Fraction(self.phi))
-        if not 0 < self.phi <= 1:
-            raise ValueError(f"phi must be in (0, 1], got {self.phi}")
+        object.__setattr__(self, "phi", _checked_phi(self.phi))
         if self.phi_bounds is not None:
             lo, hi = self.phi_bounds
             if not (0 < lo <= hi <= 1):
@@ -379,11 +388,18 @@ def expected_kt_bound(param: MallowsParam) -> float:
 
 
 def mean_expected_kt_bound(phis: DispersionVector | Sequence, m: int) -> float:
-    """Mean of the per-voter expected-KT bounds over a dispersion vector."""
+    """Mean of the per-voter expected-KT bounds over a dispersion vector.
+
+    ``kt_bound`` runs once per distinct dispersion; the per-voter values are
+    still summed left to right.  Keys are typed, because ``Fraction(0.2)``
+    and ``0.2`` are equal but their bounds round differently.
+    """
     values = phis.phis if isinstance(phis, DispersionVector) else tuple(phis)
     if not values:
         raise ValueError("empty dispersion vector")
-    return float(sum(kt_bound(p, m) for p in values)) / len(values)
+    keys = [(type(p), p) for p in values]
+    bound = {key: kt_bound(key[1], m) for key in dict.fromkeys(keys)}
+    return float(sum(bound[key] for key in keys)) / len(values)
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +560,11 @@ def _pmf_vector(param: ModelParam) -> np.ndarray:
     return pmf
 
 
-def _mallows_votes(pp: ParameterProfile, rng: np.random.Generator) -> np.ndarray:
-    """Repeated-insertion draws for every unit of weight of a Mallows profile.
+def _mallows_votes(
+    centrals: np.ndarray, counts: np.ndarray, phis: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Repeated-insertion draws: ``counts[e]`` votes around central row
+    ``centrals[e]`` at float dispersion ``phis[e]``, entry by entry.
 
     Consumes the same uniforms in the same order as one ``mallows_sample``
     call per unit of weight, entry by entry, and makes each insertion
@@ -556,10 +575,9 @@ def _mallows_votes(pp: ParameterProfile, rng: np.random.Generator) -> np.ndarray
     decrease, so a right-sided search finds that index.  The slots are
     then decoded into positions in O(W m^2).
     """
-    m = pp.m
-    counts = [int(w) for _, w in pp.entries]
+    m = centrals.shape[1]
     entry = np.repeat(np.arange(len(counts)), counts)
-    phis = np.array([float(p.phi) for p, _ in pp.entries])[entry]
+    phis = phis[entry]
     u = rng.random((len(entry), m - 1))
     slots = np.zeros((len(entry), m), dtype=np.int16)
     for phi in np.unique(phis).tolist():
@@ -575,9 +593,8 @@ def _mallows_votes(pp: ParameterProfile, rng: np.random.Generator) -> np.ndarray
         slot = slots[:, s : s + 1]
         pos[:, :s] += pos[:, :s] >= slot
         pos[:, s] = slot[:, 0]
-    centrals = np.array([p.central.order for p, _ in pp.entries], dtype=np.int16)
     votes = np.empty((len(entry), m), dtype=np.int16)
-    votes[np.arange(len(entry))[:, None], pos] = centrals.reshape(-1, m)[entry]
+    votes[np.arange(len(entry))[:, None], pos] = centrals[entry]
     return votes
 
 
@@ -612,7 +629,50 @@ def sample_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
         rows = [pl_sample(p, rng).order for p, w in pp.entries for _ in range(int(w))]
         votes = np.array(rows, dtype=np.int16).reshape(-1, m)
     else:
-        votes = _mallows_votes(pp, rng)
+        votes = _mallows_votes(
+            np.array([p.central.order for p, _ in pp.entries], dtype=np.int16).reshape(-1, m),
+            np.array([int(w) for _, w in pp.entries], dtype=np.int64),
+            np.array([float(p.phi) for p, _ in pp.entries], dtype=np.float64),
+            rng,
+        )
+    return Profile(m, votes, np.ones(len(votes), dtype=np.int64)).aggregated()
+
+
+def mallows_parameter_profile(central: Profile, phi) -> ParameterProfile:
+    """Per-voter Mallows parameters with a shared dispersion."""
+    pairs = [(MallowsParam(r, phi), w) for r, w in central.entries()]
+    return ParameterProfile.from_entries(central.m, pairs)
+
+
+@lru_cache(maxsize=1, typed=True)
+def _last_parameter_profile(central: Profile, phi) -> ParameterProfile:
+    # Profile is immutable and hashes by identity, so repeated trials around
+    # one central profile build its parameters once
+    return mallows_parameter_profile(central, phi)
+
+
+def sample_mallows_around(central: Profile, phi, rng: np.random.Generator) -> Profile:
+    """Draw one Mallows vote around each unit of weight of an integral
+    profile, all at dispersion ``phi``.
+
+    Returns ``sample_profile(mallows_parameter_profile(central, phi), rng)``
+    bit for bit, with the same RNG draws.  Up to SAMPLE_ENUM_MAX_M that is
+    how it is computed: there are at most m! parameters, and the pmf cache
+    is keyed by them; the parameter profile of the last (central, phi) is
+    kept for the next call.  Above it no parameter objects are built.  The
+    aggregated central rows are unique, lexicographic and nonzero, the
+    order ``ParameterProfile.from_entries`` sorts the parameters into, so
+    they go to the repeated-insertion sampler as they are.
+    """
+    phi = _checked_phi(phi)
+    m = central.m
+    if m <= SAMPLE_ENUM_MAX_M:
+        return sample_profile(_last_parameter_profile(central, phi), rng)
+    central = central.aggregated()
+    if not central.is_integral:
+        raise ValueError("sampling requires an integral parameter profile")
+    counts = np.array([int(w) for w in central.weights.tolist()], dtype=np.int64)
+    votes = _mallows_votes(central.votes, counts, np.full(len(counts), float(phi)), rng)
     return Profile(m, votes, np.ones(len(votes), dtype=np.int64)).aggregated()
 
 

@@ -169,6 +169,33 @@ def test_concentration_accepts_explicit_inputs():
     assert rep.n == 4
 
 
+@pytest.mark.parametrize("check", [avg_kt_concentration_check, dp_smoothed_check])
+@pytest.mark.parametrize("length", [3, 5])
+def test_checks_reject_dispersion_vector_of_wrong_length(check, length):
+    central = Profile.from_rankings([(0, 1, 2)] * 4, m=3)
+    cfg = ExperimentConfig(experiment="concentration", m=3, n=4, phi=0.5, t=1.0,
+                           trials=5, seed=6)
+    with pytest.raises(ValueError, match="one value per voter"):
+        check(cfg, central=central, phis=DispersionVector((0.5,) * length))
+
+
+def test_concentration_m8_builds_no_mallows_params(monkeypatch):
+    """Above the enumeration threshold the per-voter noise is drawn straight
+    from the central profile's arrays, without one parameter object per vote."""
+    def boom(*args, **kwargs):
+        raise AssertionError("MallowsParam built while sampling around a central profile")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("votelab") and hasattr(mod, "MallowsParam"):
+            monkeypatch.setattr(mod, "MallowsParam", boom)
+    m, n = 8, 400
+    central = central_profile("random", m, n, np.random.default_rng(12))
+    cfg = ExperimentConfig(experiment="concentration", m=m, n=n, phi=0.5, t=2.0,
+                           trials=3, seed=13)
+    report, rows = avg_kt_concentration_check(cfg, central=central)
+    assert report.passed and len(rows) == 3
+
+
 # ---------------------------------------------------------------------------
 # dp envelope check
 # ---------------------------------------------------------------------------
@@ -342,6 +369,17 @@ def run_cli(*args):
         timeout=300,
     )
     return proc
+
+
+def test_startup_does_not_import_scipy_stats():
+    # scipy.stats takes about a second to import; only chi_square_gof needs it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, votelab.cli, votelab.harness; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_solve(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from votelab.core import Permutation, Ranking, all_rankings, kt_distance, permute
+from votelab.core import Permutation, Profile, Ranking, all_rankings, kt_distance, permute
 from votelab.models import (
     DispersionVector,
     MallowsParam,
@@ -19,6 +19,7 @@ from votelab.models import (
     format_parameter_profile,
     kt_bound,
     mallows_pairwise,
+    mallows_parameter_profile,
     mallows_pmf,
     mallows_sample,
     mallows_z,
@@ -28,6 +29,7 @@ from votelab.models import (
     pl_pairwise,
     pl_pmf,
     pl_sample,
+    sample_mallows_around,
     sample_profile,
 )
 
@@ -367,6 +369,16 @@ def test_mean_expected_kt_bound():
     assert mean_expected_kt_bound([0.5, 1.0], 3) == pytest.approx(6.75)
 
 
+def test_mean_expected_kt_bound_sums_per_voter_bounds_left_to_right():
+    # Fraction(0.2) == 0.2 would share an untyped key, but their bounds round apart
+    for values in ([0.2, Fraction(0.2)], [Fraction(0.2), 0.2],
+                   [0.2, Fraction(0.2), 0.3, 0.2, Fraction(2, 3), 1, 0.3] * 5):
+        for m in (3, 8):
+            want = float(sum(kt_bound(p, m) for p in values)) / len(values)
+            assert mean_expected_kt_bound(values, m).hex() == want.hex()
+    assert mean_expected_kt_bound([0.2, Fraction(0.2)], 8) != mean_expected_kt_bound([0.2] * 2, 8)
+
+
 # ---------------------------------------------------------------------------
 # profile sampling
 # ---------------------------------------------------------------------------
@@ -584,3 +596,84 @@ def test_batched_sampler_breaks_exact_ties_like_scalar_loop():
     expected = _aggregated_rows(rows)
     assert [tuple(r) for r in prof.votes.tolist()] == [r for r, _ in expected]
     assert prof.weights.tolist() == [w for _, w in expected]
+
+
+# ---------------------------------------------------------------------------
+# sampling straight from a central profile
+# ---------------------------------------------------------------------------
+
+
+def _unaggregated_central(m, rng):
+    """Duplicate rows out of order, with weights 0, 1 and > 1."""
+    base = [tuple(rng.permutation(m).tolist()) for _ in range(6)]
+    rows = base + [base[2], base[0], base[5], base[0]]
+    return Profile.from_rankings(rows, [1, 3, 0, 2, 1, 7, 1, 2, 4, 1], m=m)
+
+
+def _assert_same_sample(central, phi, seed=7):
+    new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_mallows_around(central, phi, new_rng)
+    want = sample_profile(mallows_parameter_profile(central, phi), ref_rng)
+    assert got.m == want.m
+    assert got.votes.dtype == want.votes.dtype and np.array_equal(got.votes, want.votes)
+    assert got.weights.dtype == want.weights.dtype
+    assert got.weights.tolist() == want.weights.tolist()
+    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("m", range(3, 10))
+@pytest.mark.parametrize("phi", [0.5, Fraction(1, 3), 1, 1.0, 0.05])
+def test_sample_mallows_around_matches_parameter_profile_sampling(m, phi):
+    _assert_same_sample(_unaggregated_central(m, np.random.default_rng(100 + m)), phi)
+
+
+@pytest.mark.parametrize("m", [5, 8])
+def test_sample_mallows_around_edge_centrals(m):
+    # an aggregated random electorate, exact integral Fraction weights (two
+    # halves of one row add up to a whole voter), an all-zero and an empty profile
+    rng = np.random.default_rng(m)
+    votes = rng.permuted(np.tile(np.arange(m, dtype=np.int16), (300, 1)), axis=1)
+    _assert_same_sample(Profile(m, votes, np.ones(300, dtype=np.int64)).aggregated(), 0.4)
+    rows = [tuple(rng.permutation(m).tolist()) for _ in range(2)]
+    halves = Profile.from_rankings([rows[0], rows[1], rows[0]], [HALF, Fraction(3), HALF], m=m)
+    assert halves.weights.dtype == object
+    _assert_same_sample(halves, HALF)
+    _assert_same_sample(Profile.from_rankings(rows, [0, 0], m=m), 0.4)
+    _assert_same_sample(Profile.empty(m), 0.4)
+
+
+@pytest.mark.parametrize("m", [5, 8])
+def test_sample_mallows_around_rejects_what_sample_profile_rejects(m):
+    rng = np.random.default_rng(m)
+    rows = [tuple(rng.permutation(m).tolist()) for _ in range(2)]
+    for weights in ([1, HALF], [1.0, 2.0]):
+        central = Profile.from_rankings(rows, weights, m=m)
+        with pytest.raises(ValueError) as want:
+            sample_profile(mallows_parameter_profile(central, 0.5), np.random.default_rng(0))
+        with pytest.raises(ValueError) as got:
+            sample_mallows_around(central, 0.5, np.random.default_rng(0))
+        assert str(got.value) == str(want.value)
+    central = Profile.from_rankings(rows, m=m)
+    for phi in (0, 1.5, -1):
+        with pytest.raises(ValueError) as want:
+            mallows_parameter_profile(central, phi)
+        with pytest.raises(ValueError) as got:
+            sample_mallows_around(central, phi, np.random.default_rng(0))
+        assert str(got.value) == str(want.value)
+
+
+def test_sample_mallows_around_builds_parameters_once_per_central():
+    from votelab.models import _last_parameter_profile
+
+    central = _unaggregated_central(5, np.random.default_rng(3))
+    rng = np.random.default_rng(0)
+    sample_mallows_around(central, 0.1, rng)
+    before = _last_parameter_profile.cache_info()
+    sample_mallows_around(central, 0.1, rng)
+    sample_mallows_around(central, 0.1, rng)
+    mid = _last_parameter_profile.cache_info()
+    assert (mid.hits - before.hits, mid.misses - before.misses) == (2, 0)
+    # Fraction(0.1) == 0.1, but its parameters keep their own exactness
+    _assert_same_sample(central, Fraction(0.1))
+    assert _last_parameter_profile.cache_info().misses == mid.misses + 1
+    assert mid.maxsize == 1
