@@ -3,9 +3,10 @@
 Value types for rankings, profiles, and majority graphs; Mallows and
 Plackett-Luce models with exact closed forms and samplers; the
 cycle/co-cycle algebra of majority graphs; exact Kemeny/Slater solvers
-(enumeration and a distance-parameterized dynamic program); permutation-
-orbit gadgets reducing feedback-arc-set questions to winner determination;
-and a seeded experiment harness for the associated probabilistic bounds.
+(one dynamic program over placed-candidate sets, optionally restricted to
+a distance-parameterized position window); permutation-orbit gadgets
+reducing feedback-arc-set questions to winner determination; and a seeded
+experiment harness for the associated probabilistic bounds.
 """
 
 from .core import (

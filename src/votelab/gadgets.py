@@ -35,7 +35,6 @@ from .core import (
     Ranking,
     Weight,
     WeightedMajorityGraph,
-    all_rankings,
     kt_to_digraph,
 )
 from .graph_algebra import (
@@ -56,7 +55,7 @@ from .models import (
     permute_param,
     sample_profile,
 )
-from .solvers import TimedOut, get_solver, slater_brute, solve_with_budget
+from .solvers import TimedOut, _adjacency, _full_lattice, get_solver, slater_brute, solve_with_budget
 
 __all__ = [
     "FasInstance",
@@ -121,8 +120,8 @@ class FasInstance:
 
 
 def fas_optimum(g: Digraph) -> int:
-    """Minimum back-edge count over all rankings (enumeration; small m only)."""
-    return min(kt_to_digraph(r, g) for r in all_rankings(g.m))
+    """Minimum back-edge count over all rankings (full placed-set lattice, m <= 20)."""
+    return _full_lattice(g.m, lambda: _adjacency(g), None)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -733,21 +732,22 @@ def parse_fas(text: str) -> FasInstance:
     t = None
     m = None
     edges = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("kind="):
-            kind = line[5:].strip()
-        elif line.startswith("t="):
-            t = int(line[2:])
-        elif line.startswith("m="):
-            m = int(line[2:])
-        elif "->" in line:
-            a, b = line.split("->")
-            edges.append((int(a), int(b)))
-        else:
-            raise ValueError(f"bad line in instance file: {raw!r}")
+        try:
+            if line.startswith("kind="):
+                kind = line[5:].strip()
+            elif line.startswith("t="):
+                t = int(line[2:])
+            elif line.startswith("m="):
+                m = int(line[2:])
+            else:
+                a, b = line.split("->")  # no arrow or a chained one fails to unpack
+                edges.append((int(a), int(b)))
+        except ValueError as exc:
+            raise ValueError(f"bad line {lineno} in instance file: {raw!r}") from exc
     if kind is None or t is None:
         raise ValueError("instance file needs kind= and t= headers")
     if m is None:

@@ -10,6 +10,7 @@ from votelab.core import (
     Digraph,
     Ranking,
     all_rankings,
+    kt_to_digraph,
     umg,
     wmg,
 )
@@ -513,6 +514,45 @@ def test_fas_file_round_trip(tmp_path):
     assert back == inst
     # m header optional: inferred from edges
     assert parse_fas("kind=eulerian\nt=1\n0 -> 1\n1 -> 2\n2 -> 0\n") == inst
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("kind=eulerian\nt=x\n0 -> 1\n", 2),  # non-integer t=
+        ("kind=eulerian\nt=1\nm=three\n", 3),  # non-integer m=
+        ("kind=eulerian\nt=1\n\n0 -> 1 -> 2\n", 4),  # chained arrow
+        ("# header\nkind=eulerian\nt=1\n0 -> b\n", 4),  # non-integer endpoint
+        ("kind=eulerian\nt=1\n0 1\n", 3),  # no arrow
+    ],
+)
+def test_parse_fas_errors_name_the_line(text, lineno):
+    raw = text.splitlines()[lineno - 1]
+    with pytest.raises(ValueError) as info:
+        parse_fas(text)
+    msg = str(info.value)
+    assert f"line {lineno}" in msg
+    assert repr(raw) in msg
+
+
+def _random_digraph(rng, m, tournament):
+    edges = []
+    for a in range(m):
+        for b in range(a + 1, m):
+            if tournament:
+                edges.append((a, b) if rng.random() < 0.5 else (b, a))
+            else:
+                edges += [e for e in ((a, b), (b, a)) if rng.random() < 0.35]
+    return Digraph.from_edges(m, edges)
+
+
+@pytest.mark.parametrize("tournament", [False, True])
+def test_fas_optimum_matches_enumeration(tournament):
+    rng = np.random.default_rng(57 + tournament)
+    for m in range(3, 8):
+        for _ in range(4 if m < 7 else 2):
+            g = _random_digraph(rng, m, tournament)
+            assert fas_optimum(g) == min(kt_to_digraph(r, g) for r in all_rankings(m))
 
 
 def test_full_scale_exponent():

@@ -1,4 +1,4 @@
-"""Solver correctness: enumeration, the window DP, budgets, tie-breaking."""
+"""Solver correctness: the full lattice, the window DP, budgets, tie-breaking."""
 
 import itertools
 from fractions import Fraction
@@ -16,6 +16,7 @@ from votelab.core import (
     slater_score,
     umg,
 )
+from votelab import solvers
 from votelab.models import MallowsParam, ParameterProfile, sample_profile
 from votelab.solvers import (
     SolveResult,
@@ -39,7 +40,7 @@ def random_mallows_profile(m, n, phi, seed):
 
 
 # ---------------------------------------------------------------------------
-# brute force
+# full lattice
 # ---------------------------------------------------------------------------
 
 
@@ -66,23 +67,56 @@ def test_brute_reversal_pair():
     assert res.ranking == R123  # lexicographic among all six
 
 
+def random_profile(rng, m, n, weights=None):
+    return Profile.from_rankings(
+        [tuple(rng.permutation(m).tolist()) for _ in range(n)], weights=weights, m=m
+    )
+
+
+def random_fraction_weights(rng, n):
+    return [Fraction(int(rng.integers(1, 7)), int(rng.integers(1, 5))) for _ in range(n)]
+
+
 def test_brute_matches_exhaustive_oracle():
     rng = np.random.default_rng(21)
+    cases = []
     for _ in range(25):
         m = int(rng.integers(2, 5))
         n = int(rng.integers(1, 6))
-        prof = Profile.from_rankings(
-            [tuple(rng.permutation(m).tolist()) for _ in range(n)], m=m
-        )
+        cases.append(random_profile(rng, m, n))
+    for _ in range(10):
+        m = int(rng.integers(2, 6))
+        n = int(rng.integers(1, 6))
+        cases.append(random_profile(rng, m, n, random_fraction_weights(rng, n)))
+    for m in (6, 7):
+        cases.append(random_profile(rng, m, 4))
+        cases.append(random_profile(rng, m, 3, random_fraction_weights(rng, 3)))
+    for prof in cases:
         res = kemeny_brute(prof)
-        best = min(kemeny_score(r, prof) for r in all_rankings(m))
-        assert res.score == best
-        assert kemeny_score(res.ranking, prof) == res.score
+        # all_rankings is lexicographic, so min() picks the lexicographically first optimum
+        best = min(all_rankings(prof.m), key=lambda r: kemeny_score(r, prof))
+        assert res.ranking == best
+        assert res.score == kemeny_score(best, prof)
 
 
-def test_brute_m_cap():
+def test_brute_m_cap(monkeypatch):
+    # past DP_STATE_CAP the full lattice is refused before the tally is built
+    def no_tally(profile):
+        raise AssertionError("tally built for an over-cap m")
+
+    monkeypatch.setattr(solvers, "pairwise_tally", no_tally)
     with pytest.raises(ValueError):
-        kemeny_brute(Profile.empty(11))
+        kemeny_brute(Profile.empty(21))
+    with pytest.raises(ValueError):
+        slater_brute(Profile.empty(21))
+    monkeypatch.undo()
+    # m = 12 is past the old enumeration cap and now solves
+    prof = random_mallows_profile(12, 9, 0.7, 5)
+    res = kemeny_brute(prof)
+    assert kemeny_score(res.ranking, prof) == res.score
+    assert res.score == kemeny_dp(prof).score
+    res = slater_brute(prof)
+    assert slater_score(res.ranking, prof) == res.score
 
 
 def test_brute_exact_weights():
@@ -173,11 +207,11 @@ def test_dp_rejects_fractional():
         kemeny_dp(prof)
 
 
-def test_dp_state_cap_fallback():
+def test_dp_state_cap_fallback(monkeypatch):
     prof = random_mallows_profile(6, 6, 0.9, 99)
-    res = kemeny_dp(prof, state_cap=2)
-    assert res.solver == "dp-fallback-brute"
-    assert res.score == kemeny_brute(prof).score
+    monkeypatch.setattr(solvers, "DP_STATE_CAP", 2)
+    with pytest.raises(ValueError):
+        kemeny_dp(prof)
 
 
 def test_dp_window_slack_widening_is_safe():
@@ -216,12 +250,20 @@ def test_slater_depends_only_on_umg():
 
 def test_slater_matches_exhaustive_oracle():
     rng = np.random.default_rng(31)
-    for _ in range(20):
-        prof = random_mallows_profile(5, 5, 0.7, int(rng.integers(1 << 30)))
+    cases = [random_mallows_profile(5, 5, 0.7, int(rng.integers(1 << 30))) for _ in range(20)]
+    for _ in range(10):
+        m = int(rng.integers(2, 6))
+        n = int(rng.integers(1, 6))
+        cases.append(random_profile(rng, m, n, random_fraction_weights(rng, n)))
+    for m in (6, 7):
+        cases.append(random_mallows_profile(m, 5, 0.8, int(rng.integers(1 << 30))))
+        cases.append(random_profile(rng, m, 4, random_fraction_weights(rng, 4)))
+    for prof in cases:
         res = slater_brute(prof)
-        best = min(slater_score(r, prof) for r in all_rankings(5))
-        assert res.score == best
-        assert slater_score(res.ranking, prof) == res.score
+        # all_rankings is lexicographic, so min() picks the lexicographically first optimum
+        best = min(all_rankings(prof.m), key=lambda r: slater_score(r, prof))
+        assert res.ranking == best
+        assert res.score == slater_score(best, prof)
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +280,7 @@ def test_budget_generous_matches_direct():
 
 def test_budget_tiny_times_out_on_m9():
     prof = Profile.from_rankings([tuple(range(9))])
-    res = solve_with_budget(
-        lambda p, deadline=None: kemeny_brute(p, deadline=deadline, chunk_size=2000),
-        prof,
-        budget=1e-4,
-    )
+    res = solve_with_budget(kemeny_brute, prof, budget=1e-4)
     assert isinstance(res, TimedOut)
     assert res.budget == 1e-4
 
