@@ -538,6 +538,15 @@ def kemeny_score(r: Ranking | Sequence[int], profile: Profile) -> Weight:
     return vals.sum() if vals.dtype != object else sum(vals.tolist())
 
 
+#: vote rows per block when ``pairwise_tally`` sums integer weights
+TALLY_CHUNK = 4096
+
+
+def _block_tally(w: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    before = pos[:, :, None] < pos[:, None, :]  # (rows, m, m): a before b
+    return np.tensordot(w, before.astype(w.dtype), axes=(0, 0))
+
+
 def pairwise_tally(profile: Profile) -> np.ndarray:
     """(m, m) matrix N with N[a, b] = total weight of votes ranking a over b.
 
@@ -549,14 +558,22 @@ def pairwise_tally(profile: Profile) -> np.ndarray:
     if len(profile) == 0:
         return np.zeros((m, m), dtype=np.int64)
     pos = profile.positions.astype(np.int64)
-    before = pos[:, :, None] < pos[:, None, :]  # (k, m, m): a before b
     w = profile.weights
+    if w.dtype.kind in "iu":
+        # integer sums are exact in any order, so summing fixed-size row
+        # blocks matches one tensordot over all k rows bit for bit while the
+        # (rows, m, m) comparison array stays bounded
+        n_tally = _block_tally(w[:TALLY_CHUNK], pos[:TALLY_CHUNK])
+        for lo in range(TALLY_CHUNK, len(w), TALLY_CHUNK):
+            n_tally += _block_tally(w[lo : lo + TALLY_CHUNK], pos[lo : lo + TALLY_CHUNK])
+        return n_tally
     if w.dtype == object:
+        before = pos[:, :, None] < pos[:, None, :]  # (k, m, m): a before b
         n_tally = np.zeros((m, m), dtype=object)
         for i, wi in enumerate(w.tolist()):
             n_tally = n_tally + before[i].astype(object) * wi
         return n_tally
-    return np.tensordot(w, before.astype(w.dtype if w.dtype != np.int64 else np.int64), axes=(0, 0))
+    return _block_tally(w, pos)
 
 
 def wmg(profile: Profile) -> WeightedMajorityGraph:

@@ -25,6 +25,7 @@ import statistics
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -513,7 +514,10 @@ class ReductionConfig:
     desk-scale runs pick K so m^K stays under ``max_n``.  The solver runs
     under ``budget_multiplier`` times a pilot-estimated expected runtime,
     floored at ``min_budget`` seconds so that desk-scale solves are not
-    killed by scheduler noise.
+    killed by scheduler noise.  The expected runtime belongs to the
+    instance's election distribution, so the median of ``pilot_solves``
+    pilot solves is taken once per instance, on a fixed RNG stream of its
+    own, and reused by every trial.
     """
 
     K: int
@@ -532,6 +536,10 @@ class ReductionConfig:
             raise ValueError("K must be >= 1")
         if self.budget_multiplier <= 0:
             raise ValueError("budget_multiplier must be positive")
+        if self.pilot_solves < 1:
+            raise ValueError("pilot_solves must be >= 1")
+        if not self.min_budget >= 0:  # also rejects NaN
+            raise ValueError("min_budget must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -557,6 +565,32 @@ def build_instance_profile(inst: FasInstance, cfg: ReductionConfig) -> Parameter
     return build_tournament_profile(inst.graph, theta_3c, theta_co)
 
 
+def _solver_for(kind: str, cfg: ReductionConfig):
+    """(solver, label): Slater for tournaments, ``cfg.solver`` otherwise."""
+    if kind == "tournament":
+        return slater_brute, "slater-brute"
+    return get_solver(cfg.solver), cfg.solver
+
+
+@lru_cache(maxsize=1)
+def _instance_plan(
+    pp: ParameterProfile, kind: str, cfg: ReductionConfig
+) -> tuple[ParameterProfile, float]:
+    """The rounded profile and the solve budget shared by an instance's trials.
+
+    The pilots draw from their own fixed stream, so a trial's outcome
+    depends only on (instance, cfg, trial rng).  ParameterProfile is
+    immutable and hashes by identity, so trials on one prebuilt profile
+    round it and run the pilots once.
+    """
+    ppi = round_to_integral(pp, cfg.K, cfg.max_n)
+    solver, _ = _solver_for(kind, cfg)
+    pilot_rng = np.random.default_rng(0)
+    pilot_times = [solver(sample_profile(ppi, pilot_rng)).elapsed for _ in range(cfg.pilot_solves)]
+    budget = max(cfg.budget_multiplier * statistics.median(pilot_times), cfg.min_budget)
+    return ppi, budget
+
+
 def run_reduction(
     inst: FasInstance,
     cfg: ReductionConfig,
@@ -565,31 +599,26 @@ def run_reduction(
 ) -> ReductionOutcome:
     """One randomized decision of the feedback-arc-set instance.
 
-    Builds the gadget profile, rounds it to m^K voters, samples an
-    election, solves Kemeny (Eulerian kind) or Slater (tournament kind)
-    under the pilot-estimated budget, and answers YES only when the
-    returned ranking breaks at most t edges of the instance graph.  The
-    answer check is against the instance graph itself, so a NO instance
-    can never be certified YES.
+    Builds the gadget profile, rounds it to m^K voters, samples one
+    election from ``rng``, solves Kemeny (Eulerian kind) or Slater
+    (tournament kind) under the pilot-estimated budget, and answers YES
+    only when the returned ranking breaks at most t edges of the instance
+    graph.  The answer check is against the instance graph itself, so a
+    NO instance can never be certified YES.
 
     ``prebuilt`` lets callers reuse the (deterministic) gadget profile
-    across repeated trials.
+    across repeated trials; the rounding and the pilot solves that set the
+    budget then run once for that profile, on their own RNG stream, and
+    each further trial samples and solves a single election.
     """
     g = inst.graph
     if not g.edges:
         # empty graph is acyclic; every ranking certifies t >= 0
         return ReductionOutcome("YES", True, 0, 0, cfg.solver, 0.0, 0, 0.0)
     pp = prebuilt if prebuilt is not None else build_instance_profile(inst, cfg)
-    ppi = round_to_integral(pp, cfg.K, cfg.max_n)
+    ppi, budget = _instance_plan(pp, inst.kind, cfg)
     n = int(ppi.total_weight)
-    solver = slater_brute if inst.kind == "tournament" else get_solver(cfg.solver)
-    solver_name = "slater-brute" if inst.kind == "tournament" else cfg.solver
-
-    pilot_times = []
-    for _ in range(cfg.pilot_solves):
-        prof = sample_profile(ppi, rng)
-        pilot_times.append(solver(prof).elapsed)
-    budget = max(cfg.budget_multiplier * statistics.median(pilot_times), cfg.min_budget)
+    solver, solver_name = _solver_for(inst.kind, cfg)
 
     prof = sample_profile(ppi, rng)
     start = time.perf_counter()

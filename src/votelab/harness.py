@@ -540,7 +540,9 @@ def reduction_trials(
 
     The summary's answer amplifies the one-sided error: YES errors are
     impossible (the certificate is checked against the instance graph), so
-    any YES trial certifies a YES answer.
+    any YES trial certifies a YES answer.  Each row carries the trial's
+    solve budget as ``budget_ms``; it is estimated once per instance, so
+    it is the same in every row.
     """
     pp = build_instance_profile(inst, rcfg)
     rows = []
@@ -560,6 +562,7 @@ def reduction_trials(
                 "op_count": out.op_count,
                 "answer": out.answer,
                 "back_edges": out.back_edges,
+                "budget_ms": out.budget * 1000.0,
             }
         )
     summary = {

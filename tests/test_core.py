@@ -5,6 +5,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from votelab import core
 from votelab.core import (
     Digraph,
     Permutation,
@@ -122,6 +123,24 @@ def test_tally_weight_partition():
         for a in range(m):
             for b in range(a + 1, m):
                 assert n[a, b] + n[b, a] == k
+
+
+def test_pairwise_tally_blocks_match_one_tensordot(monkeypatch):
+    # integer weights are summed in fixed-size row blocks; across block
+    # boundaries the result equals the unblocked formula bit for bit
+    rng = np.random.default_rng(3)
+    m, k = 6, 23
+    votes = np.array([rng.permutation(m) for _ in range(k)], dtype=np.int16)
+    weights = rng.integers(1, 2**40, size=k, dtype=np.int64)
+    prof = Profile(m, votes, weights)
+    pos = prof.positions.astype(np.int64)
+    before = pos[:, :, None] < pos[:, None, :]
+    expected = np.tensordot(weights, before.astype(np.int64), axes=(0, 0))
+    for chunk in (1, 4, 22, 23, 24):
+        monkeypatch.setattr(core, "TALLY_CHUNK", chunk)
+        got = pairwise_tally(prof)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
 
 
 def test_kemeny_score_dual_path_oracle():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from votelab import gadgets
 from votelab.core import (
     Digraph,
     Ranking,
@@ -494,6 +495,95 @@ def test_reduction_outcome_fields():
     out = run_reduction(inst, cfg, np.random.default_rng(1))
     assert out.n > 0 and out.finished and out.back_edges == 1
     assert out.budget >= cfg.min_budget
+
+
+def test_reduction_config_rejects_bad_pilot_settings():
+    with pytest.raises(ValueError, match="pilot_solves"):
+        ReductionConfig(K=6, pilot_solves=0)
+    for bad in (-0.5, float("nan")):
+        with pytest.raises(ValueError, match="min_budget"):
+            ReductionConfig(K=6, min_budget=bad)
+    ReductionConfig(K=6, pilot_solves=1, min_budget=0.0)
+
+
+def test_reduction_pilots_run_once_per_instance(monkeypatch):
+    # the budget belongs to the instance, so three trials on one prebuilt
+    # profile sample the pilots once plus one election each
+    calls = []
+
+    def counting(pp, rng):
+        calls.append(pp)
+        return sample_profile(pp, rng)
+
+    monkeypatch.setattr(gadgets, "sample_profile", counting)
+    gadgets._instance_plan.cache_clear()
+    inst = FasInstance(TRIANGLE, 1, "eulerian")
+    cfg = ReductionConfig(K=6)
+    pp = build_instance_profile(inst, cfg)
+    budgets = {run_reduction(inst, cfg, np.random.default_rng([58, i]), prebuilt=pp).budget
+               for i in range(3)}
+    assert len(calls) == cfg.pilot_solves + 3
+    assert len(budgets) == 1
+
+
+def test_reduction_trial_depends_only_on_its_rng():
+    # a trial gives the same outcome cold and after other trials and instances
+    inst = FasInstance(TRIANGLE, 1, "eulerian")
+    cfg = ReductionConfig(K=6)
+    pp = build_instance_profile(inst, cfg)
+    other = FasInstance(TRIANGLE, 1, "tournament")
+    other_pp = build_instance_profile(other, cfg)
+
+    def outcome(i):
+        out = run_reduction(inst, cfg, np.random.default_rng([59, i]), prebuilt=pp)
+        return out.answer, out.back_edges, out.op_count
+
+    cold = []
+    for i in range(3):
+        gadgets._instance_plan.cache_clear()
+        cold.append(outcome(i))
+    warm = []
+    for i in range(3):
+        run_reduction(other, cfg, np.random.default_rng([60, i]), prebuilt=other_pp)
+        warm.append(outcome(i))
+    assert [outcome(i) for i in range(3)] == cold == warm
+
+
+def test_reduction_trial_rng_feeds_one_sample():
+    inst = FasInstance(TRIANGLE, 1, "eulerian")
+    cfg = ReductionConfig(K=6)
+    pp = build_instance_profile(inst, cfg)
+    rng = np.random.default_rng([61, 0])
+    fresh = np.random.default_rng([61, 0])
+    run_reduction(inst, cfg, rng, prebuilt=pp)
+    sample_profile(round_to_integral(pp, cfg.K), fresh)
+    assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+def test_reduction_plan_cache_keys():
+    # the plan is keyed on the gadget profile, the instance kind and the config
+    plan = gadgets._instance_plan
+    cfg = ReductionConfig(K=4)
+    eul = FasInstance(TRIANGLE, 1, "eulerian")
+    pp = build_instance_profile(eul, cfg)
+    variants = [
+        (eul, cfg),
+        (eul, ReductionConfig(K=5)),
+        (FasInstance(TRIANGLE, 1, "tournament"), cfg),
+        (eul, ReductionConfig(K=4, solver="brute")),
+    ]
+    plan.cache_clear()
+    for i, (inst, rcfg) in enumerate(variants):
+        run_reduction(inst, rcfg, np.random.default_rng([62, i]), prebuilt=pp)
+        assert plan.cache_info().misses == i + 1
+    # same profile, kind and config, other t: the plan is reused
+    run_reduction(FasInstance(TRIANGLE, 2, "eulerian"), variants[-1][1],
+                  np.random.default_rng([62, 9]), prebuilt=pp)
+    assert plan.cache_info().hits == 1
+    # an equal but rebuilt profile is another profile
+    run_reduction(eul, variants[-1][1], np.random.default_rng([62, 10]),
+                  prebuilt=build_instance_profile(eul, cfg))
+    assert plan.cache_info().misses == len(variants) + 1
 
 
 def test_instance_validation():

@@ -271,8 +271,11 @@ def test_reduction_trials_summary_and_log_shape():
     assert len(rows) == 5
     assert set(rows[0]) == {
         "seed", "K", "n", "solver", "finished", "elapsed_ms", "op_count",
-        "answer", "back_edges",
+        "answer", "back_edges", "budget_ms",
     }
+    # the budget is estimated once per instance and shared by every trial
+    assert len({r["budget_ms"] for r in rows}) == 1
+    assert rows[0]["budget_ms"] >= ReductionConfig(K=6).min_budget * 1000.0
 
 
 # ---------------------------------------------------------------------------
