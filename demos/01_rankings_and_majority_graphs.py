@@ -18,7 +18,7 @@ from votelab import (
     umg,
     wmg,
 )
-from votelab.core import format_profile
+from votelab.formats import format_profile
 
 # Three voters, three alternatives, maximally cyclic: a Condorcet cycle.
 votes = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]

@@ -37,7 +37,6 @@ from .graph_algebra import (
     three_cycle,
 )
 from .models import (
-    DispersionVector,
     MallowsParam,
     ParameterProfile,
     PlackettLuceParam,

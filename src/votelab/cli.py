@@ -11,22 +11,21 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
-from . import harness
-from .core import load_profile, save_profile
+from . import formats, harness
 from .gadgets import (
     ReductionConfig,
     build_eulerian_profile,
     build_tournament_profile,
     build_triangle_profile,
     check_gadget_identities,
-    load_fas,
     mallows_witness,
     verify_witness,
 )
-from .graph_algebra import format_wmg, orthogonal_decompose, parse_wmg
+from .graph_algebra import orthogonal_decompose
 
 
 def _emit(obj) -> None:
@@ -40,7 +39,8 @@ def _phi_arg(s: str):
 def cmd_solve(args) -> int:
     from .solvers import get_solver, result_record, slater_brute
 
-    profile = load_profile(args.input)
+    parse = formats.parse_soc if args.input.endswith(".soc") else formats.parse_profile
+    profile = parse(Path(args.input).read_text(encoding="utf-8"))
     if args.rule == "slater":
         res = slater_brute(profile)
     else:
@@ -51,41 +51,30 @@ def cmd_solve(args) -> int:
 
 def cmd_sample(args) -> int:
     from .gadgets import round_to_integral
-    from .models import load_parameter_profile, sample_profile
+    from .models import sample_profile
 
-    pp = load_parameter_profile(args.input)
+    pp = formats.parse_parameter_profile(Path(args.input).read_text(encoding="utf-8"))
     if args.round_k:
         pp = round_to_integral(pp, args.round_k, max_n=args.max_n)
     rng = np.random.default_rng(args.seed)
     prof = sample_profile(pp, rng)
-    save_profile(prof, args.out)
+    Path(args.out).write_text(formats.format_profile(prof), encoding="utf-8")
     _emit({"written": args.out, "n": int(prof.n), "m": prof.m, "types": len(prof)})
     return 0
 
 
 def cmd_decompose(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        g = parse_wmg(fh.read())
-    g_cyc, g_co = orthogonal_decompose(g)
+    g = formats.parse_wmg(Path(args.input).read_text(encoding="utf-8"))
+    cyclic, cocyclic = (formats.format_wmg(part) for part in orthogonal_decompose(g))
     if args.out_cyclic:
-        with open(args.out_cyclic, "w", encoding="utf-8") as fh:
-            fh.write(format_wmg(g_cyc))
+        Path(args.out_cyclic).write_text(cyclic, encoding="utf-8")
     if args.out_cocyclic:
-        with open(args.out_cocyclic, "w", encoding="utf-8") as fh:
-            fh.write(format_wmg(g_co))
-    _emit(
-        {
-            "m": g.m,
-            "cyclic": format_wmg(g_cyc).splitlines()[1:],
-            "cocyclic": format_wmg(g_co).splitlines()[1:],
-        }
-    )
+        Path(args.out_cocyclic).write_text(cocyclic, encoding="utf-8")
+    _emit({"m": g.m, "cyclic": cyclic.splitlines()[1:], "cocyclic": cocyclic.splitlines()[1:]})
     return 0
 
 
 def cmd_gadget(args) -> int:
-    from .models import save_parameter_profile
-
     phi = _phi_arg(args.phi)
     if args.kind == "triangle":
         theta = mallows_witness(args.m, phi)
@@ -94,13 +83,13 @@ def cmd_gadget(args) -> int:
         if not args.input:
             print("gadget: --in <instance file> is required for graph gadgets", file=sys.stderr)
             return 2
-        inst = load_fas(args.input)
+        inst = formats.parse_fas(Path(args.input).read_text(encoding="utf-8"))
         theta = mallows_witness(inst.graph.m, phi)
         if args.kind == "eulerian":
             pp = build_eulerian_profile(inst.graph, theta)
         else:
             pp = build_tournament_profile(inst.graph, theta, theta)
-    save_parameter_profile(pp, args.out)
+    Path(args.out).write_text(formats.format_parameter_profile(pp), encoding="utf-8")
     _emit(
         {
             "written": args.out,
@@ -143,7 +132,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    inst = load_fas(args.input)
+    inst = formats.parse_fas(Path(args.input).read_text(encoding="utf-8"))
     rcfg = ReductionConfig(K=args.K, solver=args.solver, phi=float(args.phi))
     summary, rows = harness.reduction_trials(inst, rcfg, args.trials, args.seed)
     if args.out:
@@ -153,8 +142,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = harness.ExperimentConfig.from_text(fh.read())
+    cfg = harness.ExperimentConfig.from_text(Path(args.config).read_text(encoding="utf-8"))
     summary = harness.run_experiment(cfg)
     _emit(summary)
     return 0

@@ -39,11 +39,6 @@ __all__ = [
     "kt_matrix",
     "permute",
     "label",
-    "parse_profile",
-    "format_profile",
-    "parse_soc",
-    "load_profile",
-    "save_profile",
 ]
 
 #: comparison tolerance for float weights
@@ -531,7 +526,12 @@ def kemeny_score(r: Ranking | Sequence[int], profile: Profile) -> Weight:
         raise ValueError("mismatched m")
     if len(profile) == 0:
         return 0
-    n_tally = pairwise_tally(profile)
+    return _tally_score(r, pairwise_tally(profile))
+
+
+def _tally_score(r: Ranking, n_tally: np.ndarray) -> Weight:
+    """Kemeny score of ``r`` read off a pairwise tally: the sum of N[u, c]
+    over pairs that ``r`` ranks c above u."""
     pos = np.asarray(r.positions)
     later = pos[:, None] > pos[None, :]  # later[u, c]: r ranks c above u
     vals = n_tally[later]
@@ -682,96 +682,3 @@ def permute(sigma: Permutation, x):
         return Digraph.from_edges(x.m, [(sigma.map[a], sigma.map[b]) for a, b in x.edges])
     raise TypeError(f"cannot permute {type(x).__name__}")
 
-
-# ---------------------------------------------------------------------------
-# profile text format
-# ---------------------------------------------------------------------------
-#
-# Line 1: m=<int>, line 2: n=<int>, then one vote per line as
-# "<count>: i1,i2,...,im" (count optional, default 1).  '#' starts a comment.
-
-
-def _parse_weight(tok: str) -> Weight:
-    tok = tok.strip()
-    if "/" in tok:
-        return Fraction(tok)
-    try:
-        return int(tok)
-    except ValueError:
-        return float(tok)
-
-
-def parse_profile(text: str) -> Profile:
-    m = None
-    n_declared = None
-    rankings: list[tuple[int, ...]] = []
-    weights: list[Weight] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("m="):
-            m = int(line[2:])
-            continue
-        if line.startswith("n="):
-            n_declared = int(line[2:])
-            continue
-        if ":" in line:
-            count_tok, vote_tok = line.split(":", 1)
-            w = _parse_weight(count_tok)
-        else:
-            w, vote_tok = 1, line
-        order = tuple(int(t) for t in vote_tok.replace(",", " ").split())
-        rankings.append(order)
-        weights.append(w)
-    if m is None:
-        raise ValueError("missing m= header")
-    prof = Profile.from_rankings(rankings, weights, m=m)
-    if n_declared is not None and prof.is_integral and int(prof.n) != n_declared:
-        raise ValueError(f"declared n={n_declared} but votes total {prof.n}")
-    return prof
-
-
-def format_profile(profile: Profile) -> str:
-    lines = [f"m={profile.m}"]
-    if profile.is_integral:
-        lines.append(f"n={int(profile.n)}")
-    for r, w in profile.entries():
-        lines.append(f"{w}: " + ",".join(str(a) for a in r.order))
-    return "\n".join(lines) + "\n"
-
-
-def parse_soc(text: str) -> Profile:
-    """Convert a strict-order-complete election file (1-based alternatives).
-
-    Accepts the common layout: '#'-prefixed metadata lines, then one vote
-    per line as "<count>: i1,i2,...,im" with alternatives numbered 1..m.
-    """
-    rankings: list[tuple[int, ...]] = []
-    weights: list[Weight] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" in line:
-            count_tok, vote_tok = line.split(":", 1)
-            w = _parse_weight(count_tok)
-        else:
-            w, vote_tok = 1, line
-        order = tuple(int(t) - 1 for t in vote_tok.replace(",", " ").split())
-        rankings.append(order)
-        weights.append(w)
-    if not rankings:
-        raise ValueError("no votes found")
-    return Profile.from_rankings(rankings, weights)
-
-
-def load_profile(path) -> Profile:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_soc(text) if str(path).endswith(".soc") else parse_profile(text)
-
-
-def save_profile(profile: Profile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_profile(profile))

@@ -83,10 +83,6 @@ __all__ = [
     "pl_witness",
     "verify_witness",
     "check_gadget_identities",
-    "parse_fas",
-    "format_fas",
-    "load_fas",
-    "save_fas",
 ]
 
 
@@ -741,54 +737,3 @@ def check_gadget_identities(
 def _close(x, target, exact: bool, tol: float) -> bool:
     return x == target if exact else abs(x - target) <= tol
 
-
-# ---------------------------------------------------------------------------
-# instance file format
-# ---------------------------------------------------------------------------
-#
-# "kind=eulerian|tournament", "t=<int>", optional "m=<int>", then one edge
-# per line as "i -> j".
-
-
-def format_fas(inst: FasInstance) -> str:
-    lines = [f"kind={inst.kind}", f"t={inst.t}", f"m={inst.graph.m}"]
-    lines += [f"{a} -> {b}" for a, b in sorted(inst.graph.edges)]
-    return "\n".join(lines) + "\n"
-
-
-def parse_fas(text: str) -> FasInstance:
-    kind = None
-    t = None
-    m = None
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            if line.startswith("kind="):
-                kind = line[5:].strip()
-            elif line.startswith("t="):
-                t = int(line[2:])
-            elif line.startswith("m="):
-                m = int(line[2:])
-            else:
-                a, b = line.split("->")  # no arrow or a chained one fails to unpack
-                edges.append((int(a), int(b)))
-        except ValueError as exc:
-            raise ValueError(f"bad line {lineno} in instance file: {raw!r}") from exc
-    if kind is None or t is None:
-        raise ValueError("instance file needs kind= and t= headers")
-    if m is None:
-        m = 1 + max(max(a, b) for a, b in edges) if edges else 1
-    return FasInstance(Digraph.from_edges(m, edges), t, kind)
-
-
-def load_fas(path) -> FasInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_fas(fh.read())
-
-
-def save_fas(inst: FasInstance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_fas(inst))

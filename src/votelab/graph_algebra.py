@@ -28,10 +28,6 @@ __all__ = [
     "eulerian_cycle_decomposition",
     "edge_gadget_graphs",
     "edge_gadget_wmg_sum",
-    "parse_digraph",
-    "format_digraph",
-    "parse_wmg",
-    "format_wmg",
 ]
 
 
@@ -200,75 +196,3 @@ def edge_gadget_wmg_sum(b: int, c: int, m: int, exact: bool = False) -> Weighted
         total = total + cocycle(a, m, exact=exact)
     return total
 
-
-# ---------------------------------------------------------------------------
-# edge-list text formats
-# ---------------------------------------------------------------------------
-#
-# Digraphs and majority graphs serialize as "m=<int>" followed by one line
-# per edge: "i -> j" for digraphs, "i -> j w=<weight>" for majority graphs.
-
-
-def format_digraph(g: Digraph) -> str:
-    lines = [f"m={g.m}"]
-    lines += [f"{a} -> {b}" for a, b in sorted(g.edges)]
-    return "\n".join(lines) + "\n"
-
-
-def parse_digraph(text: str) -> Digraph:
-    m, edges = _parse_edge_lines(text, weighted=False)
-    return Digraph.from_edges(m, [(a, b) for a, b, _ in edges])
-
-
-def format_wmg(g: WeightedMajorityGraph) -> str:
-    lines = [f"m={g.m}"]
-    for a in range(g.m):
-        for b in range(a + 1, g.m):
-            w = g.matrix[a, b]
-            if w != 0:
-                lines.append(f"{a} -> {b} w={w}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_wmg(text: str) -> WeightedMajorityGraph:
-    m, edges = _parse_edge_lines(text, weighted=True)
-    exact = any(isinstance(w, (Fraction, int)) for _, _, w in edges) and not any(
-        isinstance(w, float) for _, _, w in edges
-    )
-    return WeightedMajorityGraph.from_edges(m, edges, exact=exact)
-
-
-def _parse_edge_lines(text: str, weighted: bool):
-    m = None
-    edges: list[tuple[int, int, Weight]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("m="):
-            m = int(line[2:])
-            continue
-        if "->" not in line:
-            raise ValueError(f"bad edge line: {raw!r}")
-        left, right = line.split("->", 1)
-        a = int(left.strip())
-        rest = right.strip().split()
-        bpart = rest[0]
-        b = int(bpart)
-        w: Weight = 1
-        for tok in rest[1:]:
-            if tok.startswith("w="):
-                val = tok[2:]
-                w = Fraction(val) if "/" in val else (int(val) if _is_int(val) else float(val))
-        edges.append((a, b, w))
-    if m is None:
-        raise ValueError("missing m= header")
-    return m, edges
-
-
-def _is_int(tok: str) -> bool:
-    try:
-        int(tok)
-        return True
-    except ValueError:
-        return False

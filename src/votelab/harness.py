@@ -18,14 +18,16 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from functools import partial
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .core import Profile, avg_kt
-from .gadgets import FasInstance, ReductionConfig, build_instance_profile, load_fas, run_reduction
+from .formats import parse_fas, read_lines
+from .gadgets import FasInstance, ReductionConfig, build_instance_profile, run_reduction
 from .models import (
-    DispersionVector,
     ParameterProfile,
     mallows_parameter_profile,
     mean_expected_kt_bound,
@@ -123,19 +125,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_text(text: str) -> "ExperimentConfig":
-        known = {f.name: f for f in fields(ExperimentConfig)}
-        kwargs = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {raw!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in known:
-                raise ValueError(f"unknown config key: {key}")
-            kwargs[key] = _coerce_field(known[key].type, val)
-        return ExperimentConfig(**kwargs)
+        coerce = {f.name: partial(_coerce_field, f.type) for f in fields(ExperimentConfig)}
+        settings, _ = read_lines(text, "experiment config", coerce)
+        return ExperimentConfig(**settings)
 
     def canonical_text(self) -> str:
         # output paths do not affect results, so they stay out of the hash
@@ -378,9 +370,7 @@ class ConcentrationReport:
 
 
 def avg_kt_concentration_check(
-    cfg: ExperimentConfig,
-    central: Optional[Profile] = None,
-    phis: Optional[DispersionVector] = None,
+    cfg: ExperimentConfig, central: Optional[Profile] = None
 ) -> tuple[ConcentrationReport, list[dict]]:
     """Estimate how often the sampled average distance exceeds its bound.
 
@@ -389,28 +379,21 @@ def avg_kt_concentration_check(
     dispersion) and counts trials with average KT distance above
     avg_kt(central) + 2 * (mean expected-distance bound) + t; the rate is
     compared against the Hoeffding tail exp(-2nt^2 / (m^2 (m-1)^2)) plus
-    three binomial sigmas of slack.  ``phis`` must hold one dispersion per
-    voter, all equal.
+    three binomial sigmas of slack.
     """
     rng_central = trial_rng(cfg.seed, 0)
     central = central if central is not None else central_profile(cfg.central, cfg.m, cfg.n, rng_central)
     n = int(central.n)
     if n < 2:
         raise ValueError("need n >= 2")
-    phis = phis if phis is not None else DispersionVector((cfg.phi,) * n)
-    if phis.n != n:
-        raise ValueError("dispersion vector must have one value per voter")
-    if len(set(phis.phis)) != 1:
-        # grouped sampling below assumes a shared dispersion
-        raise ValueError("per-voter distinct dispersions are not supported here")
     base = float(avg_kt(central))
-    phi_star = mean_expected_kt_bound(phis, cfg.m)
+    phi_star = mean_expected_kt_bound((cfg.phi,) * n, cfg.m)
     threshold = base + 2.0 * phi_star + cfg.t
     violations = 0
     rows = []
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, 1, trial)
-        sampled = sample_mallows_around(central, phis.phis[0], rng)
+        sampled = sample_mallows_around(central, cfg.phi, rng)
         val = float(avg_kt(sampled))
         hit = val > threshold
         violations += hit
@@ -456,31 +439,23 @@ class DpEnvelopeReport:
 
 
 def dp_smoothed_check(
-    cfg: ExperimentConfig,
-    central: Optional[Profile] = None,
-    phis: Optional[DispersionVector] = None,
+    cfg: ExperimentConfig, central: Optional[Profile] = None
 ) -> tuple[DpEnvelopeReport, list[dict]]:
     """Validate the distance parameter and the DP cost envelope on samples.
 
     Each trial samples per-voter Mallows noise around the central profile
-    with ``sample_mallows_around``; ``phis`` must hold one dispersion per
-    voter, all equal.  (a) the sampled profile's distance parameter stays
-    at or below d = ceil(avg_kt(central) + 2 * mean-bound + t) with
-    frequency at least 1 - Hoeffding tail - 3 sigma; (b) on every sampled
-    profile the window DP's op_count stays within the calibrated envelope
-    DP_ENVELOPE_C * 16^d * d^2 * n^2 * m^2 * log2(m) at the profile's own
-    distance parameter.
+    with ``sample_mallows_around``.  (a) the sampled profile's distance
+    parameter stays at or below d = ceil(avg_kt(central) + 2 * mean-bound
+    + t) with frequency at least 1 - Hoeffding tail - 3 sigma; (b) on every
+    sampled profile the window DP's op_count stays within the calibrated
+    envelope DP_ENVELOPE_C * 16^d * d^2 * n^2 * m^2 * log2(m) at the
+    profile's own distance parameter.
     """
     rng_central = trial_rng(cfg.seed, 0)
     central = central if central is not None else central_profile(cfg.central, cfg.m, cfg.n, rng_central)
     n = int(central.n)
-    phis = phis if phis is not None else DispersionVector((cfg.phi,) * n)
-    if phis.n != n:
-        raise ValueError("dispersion vector must have one value per voter")
-    if len(set(phis.phis)) != 1:
-        raise ValueError("per-voter distinct dispersions are not supported here")
     base = float(avg_kt(central))
-    phi_star = mean_expected_kt_bound(phis, cfg.m)
+    phi_star = mean_expected_kt_bound((cfg.phi,) * n, cfg.m)
     d = math.ceil(base + 2.0 * phi_star + cfg.t)
     within = 0
     env_ok = True
@@ -488,7 +463,7 @@ def dp_smoothed_check(
     rows = []
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, 1, trial)
-        sampled = sample_mallows_around(central, phis.phis[0], rng)
+        sampled = sample_mallows_around(central, cfg.phi, rng)
         res = kemeny_dp(sampled)
         dbar = res.diagnostics.d
         envelope = DP_ENVELOPE_C * dp_runtime_envelope(dbar, n, cfg.m)
@@ -621,6 +596,13 @@ def write_jsonl(path, rows: Iterable[dict], cfg_hash: str, seed: int) -> None:
 # experiment dispatch
 # ---------------------------------------------------------------------------
 
+#: the (m, n) grid experiments: check, report type, and the pass predicate
+#: of one grid point; a CSV row is the report's fields in order, bools as 0/1
+_GRID_EXPERIMENTS = {
+    "concentration": (avg_kt_concentration_check, ConcentrationReport, lambda rep: rep.passed),
+    "dp-envelope": (dp_smoothed_check, DpEnvelopeReport, lambda rep: rep.d_ok and rep.envelope_ok),
+}
+
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute a named experiment and persist its outputs.
@@ -629,34 +611,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     byte for byte; wall-clock fields live only in the JSON-lines log.
     """
     h = cfg.config_hash()
-    if cfg.experiment == "concentration":
-        columns = [
-            "m", "n", "phi", "t", "trials", "avg_kt_central", "threshold",
-            "violations", "violation_rate", "bound", "sigma3", "passed",
-        ]
+    if cfg.experiment in _GRID_EXPERIMENTS:
+        check, report_type, passed = _GRID_EXPERIMENTS[cfg.experiment]
+        columns = [f.name for f in fields(report_type)]
         data, rows, all_passed = [], [], True
         for m, n in _grid(cfg):
-            rep, trial_rows = avg_kt_concentration_check(replace(cfg, m=m, n=n))
-            data.append([getattr(rep, c) if c != "passed" else int(rep.passed) for c in columns])
+            rep, trial_rows = check(replace(cfg, m=m, n=n))
+            cells = (getattr(rep, c) for c in columns)
+            data.append([int(v) if isinstance(v, bool) else v for v in cells])
             rows.extend({"m": m, "n": n, **r} for r in trial_rows)
-            all_passed = all_passed and rep.passed
-        summary = {"experiment": cfg.experiment, "passed": all_passed,
-                   "points": len(data)}
-    elif cfg.experiment == "dp-envelope":
-        columns = [
-            "m", "n", "phi", "t", "trials", "d", "freq_d_within",
-            "required_freq", "d_ok", "envelope_ok", "max_envelope_ratio",
-        ]
-        data, rows, all_passed = [], [], True
-        for m, n in _grid(cfg):
-            rep, trial_rows = dp_smoothed_check(replace(cfg, m=m, n=n))
-            data.append([
-                rep.m, rep.n, rep.phi, rep.t, rep.trials, rep.d,
-                rep.freq_d_within, rep.required_freq, int(rep.d_ok),
-                int(rep.envelope_ok), rep.max_envelope_ratio,
-            ])
-            rows.extend({"m": m, "n": n, **r} for r in trial_rows)
-            all_passed = all_passed and rep.d_ok and rep.envelope_ok
+            all_passed = all_passed and passed(rep)
         summary = {"experiment": cfg.experiment, "passed": all_passed,
                    "points": len(data)}
     elif cfg.experiment == "smoothed":
@@ -677,7 +641,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     elif cfg.experiment == "reduction":
         if not cfg.instance:
             raise ValueError("reduction experiment needs instance=<path>")
-        inst = load_fas(cfg.instance)
+        inst = parse_fas(Path(cfg.instance).read_text(encoding="utf-8"))
         rcfg = ReductionConfig(K=cfg.K, solver=cfg.solver, phi=cfg.phi)
         summary, rows = reduction_trials(inst, rcfg, cfg.trials, cfg.seed)
         columns = ["kind", "m", "t", "K", "trials", "yes_count", "yes_rate", "answer"]

@@ -41,7 +41,6 @@ __all__ = [
     "PlackettLuceParam",
     "ModelParam",
     "ParameterProfile",
-    "DispersionVector",
     "mallows_z",
     "mallows_pmf",
     "mallows_pairwise",
@@ -60,10 +59,6 @@ __all__ = [
     "mallows_parameter_profile",
     "sample_mallows_around",
     "permute_param",
-    "parse_parameter_profile",
-    "format_parameter_profile",
-    "load_parameter_profile",
-    "save_parameter_profile",
 ]
 
 
@@ -231,25 +226,6 @@ class ParameterProfile:
         )
 
 
-@dataclass(frozen=True)
-class DispersionVector:
-    """Per-voter Mallows dispersions, one value in (0, 1] per voter."""
-
-    phis: tuple[Union[float, Fraction], ...]
-
-    def __post_init__(self):
-        phis = tuple(self.phis)
-        object.__setattr__(self, "phis", phis)
-        if len(phis) < 1:
-            raise ValueError("need at least one dispersion value")
-        if any(not 0 < p <= 1 for p in phis):
-            raise ValueError("dispersions must lie in (0, 1]")
-
-    @property
-    def n(self) -> int:
-        return len(self.phis)
-
-
 def permute_param(sigma: Permutation, param: ModelParam) -> ModelParam:
     """Relabel a parameter so its distribution commutes with relabeled votes."""
     if isinstance(param, MallowsParam):
@@ -387,14 +363,14 @@ def expected_kt_bound(param: MallowsParam) -> float:
     return kt_bound(param.phi, param.m)
 
 
-def mean_expected_kt_bound(phis: DispersionVector | Sequence, m: int) -> float:
-    """Mean of the per-voter expected-KT bounds over a dispersion vector.
+def mean_expected_kt_bound(phis: Sequence, m: int) -> float:
+    """Mean of the per-voter expected-KT bounds, one dispersion per voter.
 
     ``kt_bound`` runs once per distinct dispersion; the per-voter values are
     still summed left to right.  Keys are typed, because ``Fraction(0.2)``
     and ``0.2`` are equal but their bounds round differently.
     """
-    values = phis.phis if isinstance(phis, DispersionVector) else tuple(phis)
+    values = tuple(phis)
     if not values:
         raise ValueError("empty dispersion vector")
     keys = [(type(p), p) for p in values]
@@ -675,85 +651,3 @@ def sample_mallows_around(central: Profile, phi, rng: np.random.Generator) -> Pr
     votes = _mallows_votes(central.votes, counts, np.full(len(counts), float(phi)), rng)
     return Profile(m, votes, np.ones(len(votes), dtype=np.int64)).aggregated()
 
-
-# ---------------------------------------------------------------------------
-# parameter-profile text format
-# ---------------------------------------------------------------------------
-#
-# Header "model=mallows|pl" and "m=<int>", then one entry per line:
-#   <weight> | phi=<value>; central=i1,i2,...   (Mallows)
-#   <weight> | theta=t1,t2,...,tm               (Plackett-Luce)
-
-
-def _format_value(v) -> str:
-    return str(v)
-
-
-def _parse_value(tok: str):
-    tok = tok.strip()
-    if "/" in tok:
-        return Fraction(tok)
-    try:
-        return int(tok)
-    except ValueError:
-        return float(tok)
-
-
-def format_parameter_profile(pp: ParameterProfile) -> str:
-    lines = [f"model={pp.family}", f"m={pp.m}"]
-    for p, w in pp.entries:
-        if isinstance(p, MallowsParam):
-            central = ",".join(str(a) for a in p.central.order)
-            lines.append(f"{w} | phi={_format_value(p.phi)}; central={central}")
-        else:
-            theta = ",".join(_format_value(t) for t in p.theta)
-            lines.append(f"{w} | theta={theta}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_parameter_profile(text: str) -> ParameterProfile:
-    model = None
-    m = None
-    pairs: list[tuple[ModelParam, Weight]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("model="):
-            model = line[6:].strip()
-            continue
-        if line.startswith("m="):
-            m = int(line[2:])
-            continue
-        if "|" not in line:
-            raise ValueError(f"bad entry line: {raw!r}")
-        wtok, ptok = line.split("|", 1)
-        w = _parse_value(wtok)
-        fields = {}
-        for part in ptok.split(";"):
-            if "=" not in part:
-                raise ValueError(f"bad parameter field: {part!r}")
-            key, val = part.split("=", 1)
-            fields[key.strip()] = val.strip()
-        if model == "mallows":
-            phi = _parse_value(fields["phi"])
-            central = Ranking(tuple(int(t) for t in fields["central"].split(",")))
-            pairs.append((MallowsParam(central, phi), w))
-        elif model == "pl":
-            theta = tuple(_parse_value(t) for t in fields["theta"].split(","))
-            pairs.append((PlackettLuceParam(theta), w))
-        else:
-            raise ValueError(f"unknown or missing model family: {model!r}")
-    if m is None:
-        raise ValueError("missing m= header")
-    return ParameterProfile.from_entries(m, pairs)
-
-
-def load_parameter_profile(path) -> ParameterProfile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_parameter_profile(fh.read())
-
-
-def save_parameter_profile(pp: ParameterProfile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_parameter_profile(pp))

@@ -47,7 +47,7 @@ from .core import (
     Ranking,
     Weight,
     _kt_pair_total,
-    kemeny_score,
+    _tally_score,
     pairwise_tally,
     umg,
 )
@@ -327,7 +327,7 @@ def kemeny_dp(
     order, score, ops, stored = _order_dp(n_tally.tolist(), allowed, req_mask, deadline)
     ranking = Ranking(tuple(order))
     # loud self-check: the DP score must match a direct re-evaluation
-    reeval = kemeny_score(ranking, agg)
+    reeval = _tally_score(ranking, n_tally)
     if int(reeval) != score:
         raise RuntimeError(
             f"window DP inconsistency: dp score {score} vs re-evaluated {reeval}"

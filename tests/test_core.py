@@ -13,19 +13,17 @@ from votelab.core import (
     Ranking,
     all_rankings,
     avg_kt,
-    format_profile,
     kemeny_score,
     kt_distance,
     kt_matrix,
     kt_to_digraph,
     pairwise_tally,
-    parse_profile,
-    parse_soc,
     permute,
     slater_score,
     umg,
     wmg,
 )
+from votelab.formats import format_profile, parse_profile, parse_soc
 
 R123 = Ranking((0, 1, 2))
 R321 = Ranking((2, 1, 0))

@@ -27,11 +27,9 @@ from votelab.gadgets import (
     check_gadget_identities,
     cocycle_orbit,
     fas_optimum,
-    format_fas,
     mallows_witness,
     orbit_3cycle,
     orbit_cocycle,
-    parse_fas,
     pl_witness,
     round_to_integral,
     run_reduction,
@@ -39,6 +37,7 @@ from votelab.gadgets import (
     triangle_orbit,
     verify_witness,
 )
+from votelab.formats import format_fas, parse_fas
 from votelab.graph_algebra import three_cycle
 from votelab.models import (
     MallowsParam,

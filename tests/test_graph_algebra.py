@@ -14,13 +14,10 @@ from votelab.graph_algebra import (
     edge_gadget_graphs,
     edge_gadget_wmg_sum,
     eulerian_cycle_decomposition,
-    format_digraph,
-    format_wmg,
     orthogonal_decompose,
-    parse_digraph,
-    parse_wmg,
     three_cycle,
 )
+from votelab.formats import format_digraph, format_wmg, parse_digraph, parse_wmg
 
 
 def random_wmg(m, rng, exact=False):

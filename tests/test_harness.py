@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from votelab.core import Digraph, Profile
-from votelab.gadgets import FasInstance, ReductionConfig, format_fas
+from votelab.formats import format_fas
+from votelab.gadgets import FasInstance, ReductionConfig
 from votelab.harness import (
     BmParams,
     ExperimentConfig,
@@ -27,7 +28,6 @@ from votelab.harness import (
     trial_rng,
     write_csv,
 )
-from votelab.models import DispersionVector
 
 DATA = Path(__file__).parent / "data"
 
@@ -164,19 +164,8 @@ def test_concentration_accepts_explicit_inputs():
     central = Profile.from_rankings([(0, 1, 2)] * 4, m=3)
     cfg = ExperimentConfig(experiment="concentration", m=3, n=4, phi=0.5, t=1.0,
                            trials=20, seed=6)
-    rep, _ = avg_kt_concentration_check(cfg, central=central,
-                                        phis=DispersionVector((0.5,) * 4))
+    rep, _ = avg_kt_concentration_check(cfg, central=central)
     assert rep.n == 4
-
-
-@pytest.mark.parametrize("check", [avg_kt_concentration_check, dp_smoothed_check])
-@pytest.mark.parametrize("length", [3, 5])
-def test_checks_reject_dispersion_vector_of_wrong_length(check, length):
-    central = Profile.from_rankings([(0, 1, 2)] * 4, m=3)
-    cfg = ExperimentConfig(experiment="concentration", m=3, n=4, phi=0.5, t=1.0,
-                           trials=5, seed=6)
-    with pytest.raises(ValueError, match="one value per voter"):
-        check(cfg, central=central, phis=DispersionVector((0.5,) * length))
 
 
 def test_concentration_m8_builds_no_mallows_params(monkeypatch):

@@ -8,15 +8,14 @@ import pytest
 from scipy import stats as sp_stats
 
 from votelab.core import Permutation, Profile, Ranking, all_rankings, kt_distance, permute
+from votelab.formats import format_parameter_profile, parse_parameter_profile
 from votelab.models import (
-    DispersionVector,
     MallowsParam,
     ParameterProfile,
     PlackettLuceParam,
     expected_kt,
     expected_kt_bound,
     expected_wmg,
-    format_parameter_profile,
     kt_bound,
     mallows_pairwise,
     mallows_parameter_profile,
@@ -24,7 +23,6 @@ from votelab.models import (
     mallows_sample,
     mallows_z,
     mean_expected_kt_bound,
-    parse_parameter_profile,
     permute_param,
     pl_pairwise,
     pl_pmf,
@@ -364,7 +362,7 @@ def test_bound_holds_across_grid():
 
 
 def test_mean_expected_kt_bound():
-    assert mean_expected_kt_bound(DispersionVector((1.0, 1.0)), 3) == 9.0
+    assert mean_expected_kt_bound((1.0, 1.0), 3) == 9.0
     assert mean_expected_kt_bound([0.5], 3) == pytest.approx(4.5)
     assert mean_expected_kt_bound([0.5, 1.0], 3) == pytest.approx(6.75)
 
@@ -450,13 +448,6 @@ def test_parameter_profile_round_trip_pl():
     )
     back = parse_parameter_profile(format_parameter_profile(pp))
     assert back.entries == pp.entries
-
-
-def test_dispersion_vector_validation():
-    with pytest.raises(ValueError):
-        DispersionVector(())
-    with pytest.raises(ValueError):
-        DispersionVector((0.5, 0.0))
 
 
 def test_pl_sample_concentrated_head():
