@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +29,6 @@ from .graph_algebra import orthogonal_decompose
 
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, default=str))
-
-
-def _phi_arg(s: str):
-    return Fraction(s) if "/" in s else float(s)
 
 
 def cmd_solve(args) -> int:
@@ -75,16 +70,15 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_gadget(args) -> int:
-    phi = _phi_arg(args.phi)
     if args.kind == "triangle":
-        theta = mallows_witness(args.m, phi)
+        theta = mallows_witness(args.m, args.phi)
         pp = build_triangle_profile(theta)
     else:
         if not args.input:
             print("gadget: --in <instance file> is required for graph gadgets", file=sys.stderr)
             return 2
         inst = formats.parse_fas(Path(args.input).read_text(encoding="utf-8"))
-        theta = mallows_witness(inst.graph.m, phi)
+        theta = mallows_witness(inst.graph.m, args.phi)
         if args.kind == "eulerian":
             pp = build_eulerian_profile(inst.graph, theta)
         else:
@@ -101,17 +95,16 @@ def cmd_gadget(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    phi = _phi_arg(args.phi)
     if args.target == "gadgets":
-        theta = mallows_witness(args.m, phi)
+        theta = mallows_witness(args.m, args.phi)
         checks = check_gadget_identities(args.m, theta)
         for c in checks:
             status = "PASS" if c.passed else "FAIL"
             print(f"{status} {c.name} {c.detail}", file=sys.stderr)
         ok = all(c.passed for c in checks)
-        _emit({"target": "gadgets", "m": args.m, "phi": str(phi), "all_passed": ok})
+        _emit({"target": "gadgets", "m": args.m, "phi": str(args.phi), "all_passed": ok})
         return 0 if ok else 1
-    report = verify_witness(args.family, phi=phi)
+    report = verify_witness(args.family, phi=args.phi)
     _emit(
         {
             "target": "witness",
@@ -193,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gadget", help="build a gadget parameter profile")
     p.add_argument("kind", choices=["triangle", "eulerian", "tournament"])
     p.add_argument("--m", type=int, default=5)
-    p.add_argument("--phi", default="1/2")
+    p.add_argument("--phi", type=formats.parse_number, default="1/2")
     p.add_argument("--in", dest="input", default="")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gadget)
@@ -201,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify gadget identities or witness margins")
     p.add_argument("target", choices=["gadgets", "witness"])
     p.add_argument("--m", type=int, default=5)
-    p.add_argument("--phi", default="1/2")
+    p.add_argument("--phi", type=formats.parse_number, default="1/2")
     p.add_argument("--family", default="mallows", choices=["mallows", "pl"])
     p.set_defaults(fn=cmd_verify)
 
@@ -210,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, default=9)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--phi", default="0.5")
+    p.add_argument("--phi", type=formats.parse_number, default="0.5")
     p.add_argument("--solver", default="dp", choices=["dp", "brute"])
     p.add_argument("--out", default="")
     p.set_defaults(fn=cmd_reduce)

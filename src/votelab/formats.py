@@ -70,10 +70,16 @@ _HEADER = re.compile(r"([A-Za-z_]\w*)\s*=(.*)")
 
 
 def parse_number(tok: str) -> Weight:
-    """An int, else a Fraction when the token contains '/', else a float."""
+    """An int, else a Fraction when the token contains '/', else a float.
+
+    Every malformed token raises ``ValueError``, a zero denominator too.
+    """
     tok = tok.strip()
     if "/" in tok:
-        return Fraction(tok)
+        try:
+            return Fraction(tok)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {tok!r}") from exc
     try:
         return int(tok)
     except ValueError:

@@ -506,34 +506,154 @@ def _rankings_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     return orders, positions
 
 
-# Sized so that every type of one profile stays cached while it is sampled
-# again: a profile over m alternatives has at most m! distinct parameters
-# of one dispersion, as every gadget profile does.  Cyclic access to more
-# types than this would miss on every lookup.
-@lru_cache(maxsize=factorial(SAMPLE_ENUM_MAX_M))
-def _pmf_vector(param: ModelParam) -> np.ndarray:
-    """Normalized float density over ``all_rankings(param.m)``.
+def _mallows_density(central: Sequence[int], phi) -> np.ndarray:
+    """Normalized float Mallows density around ``central`` over
+    ``all_rankings(len(central))``.
 
-    For Mallows the KT distance from the center to every ranking is one
-    vectorized inversion count over the rankings table.  Each density is
+    The KT distance from the center to every ranking is one vectorized
+    inversion count over the rankings table.  Each density is
     ``float(phi**k / mallows_z(phi, m))`` for that distance k, the float
     ``mallows_pmf`` gives, so the vector matches the per-ranking
     ``float(mallows_pmf(...))`` loop bit for bit.
     """
-    m = param.m
+    m = len(central)
+    # each ranking's positions read in central order; inversions = KT
+    read = _rankings_table(m)[1][:, central]
+    iu, ju = np.triu_indices(m, k=1)
+    kts = (read[:, iu] > read[:, ju]).sum(axis=1)
+    z = mallows_z(phi, m)
+    by_kt = np.array([float(phi**k / z) for k in range(len(iu) + 1)], dtype=np.float64)
+    dens = by_kt[kts]
+    return dens / dens.sum()
+
+
+def _density(param: ModelParam) -> np.ndarray:
+    """Read-only normalized float density of ``param`` over
+    ``all_rankings(param.m)``, bit for bit the per-ranking float loop."""
     if isinstance(param, MallowsParam):
-        # each ranking's positions read in central order; inversions = KT
-        read = _rankings_table(m)[1][:, param.central.order]
-        iu, ju = np.triu_indices(m, k=1)
-        kts = (read[:, iu] > read[:, ju]).sum(axis=1)
-        phi, z = param.phi, mallows_z(param.phi, m)
-        by_kt = np.array([float(phi**k / z) for k in range(len(iu) + 1)], dtype=np.float64)
-        dens = by_kt[kts]
+        pmf = _mallows_density(param.central.order, param.phi)
     else:
-        dens = np.array([float(pl_pmf(param, r)) for r in all_rankings(m)], dtype=np.float64)
-    pmf = dens / dens.sum()
+        dens = np.array([float(pl_pmf(param, r)) for r in all_rankings(param.m)])
+        pmf = dens / dens.sum()
     pmf.setflags(write=False)
     return pmf
+
+
+# Per-type densities of Plackett-Luce sampling; Mallows sampling keeps one
+# base density per dispersion in ``_alias_table`` instead.  Sized so that
+# every type of one profile stays cached while it is sampled again: a gadget
+# profile's types are relabelings of one witness, at most m! of them.
+# Cyclic access to more types than this would miss on every lookup.
+_pmf_vector = lru_cache(maxsize=factorial(SAMPLE_ENUM_MAX_M))(_density)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _alias_table(m: int, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pmf, prob, alias) of the Mallows density around the identity ranking.
+
+    ``pmf`` is the float density around the identity, as
+    ``_density(MallowsParam(identity, phi))`` gives it.  ``prob`` and
+    ``alias`` are its Vose alias table: column c is kept with probability
+    ``prob[c]`` and otherwise replaced by ``alias[c]``, so a uniform column
+    plus one coin draws a ranking index with probability ``pmf``.  The
+    cache is typed, because ``Fraction(0.1)`` and ``0.1`` are equal but
+    their densities round apart.
+    """
+    pmf = _mallows_density(tuple(range(m)), phi)
+    size = len(pmf)
+    scaled = (pmf * size).tolist()
+    prob = np.ones(size, dtype=np.float64)
+    alias = np.arange(size, dtype=np.int16)
+    small = [c for c, p in enumerate(scaled) if p < 1.0]
+    large = [c for c, p in enumerate(scaled) if p >= 1.0]
+    while small and large:
+        s, g = small.pop(), large.pop()
+        prob[s], alias[s] = scaled[s], g
+        scaled[g] = (scaled[g] + scaled[s]) - 1.0
+        (small if scaled[g] < 1.0 else large).append(g)
+    # columns left in either list hold 1 up to rounding and keep themselves
+    for table in (pmf, prob, alias):
+        table.setflags(write=False)
+    return pmf, prob, alias
+
+
+def _alias_draw(
+    prob: np.ndarray, alias: np.ndarray, table: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """One draw per uniform from the stacked (G, m!) alias tables, voter i
+    from table ``table[i]``: the integer part of ``u * m!`` picks the column
+    and its fractional part is the coin."""
+    x = u * prob.shape[1]
+    col = np.minimum(x.astype(np.intp), prob.shape[1] - 1)
+    return np.where(x - col < prob[table, col], col, alias[table, col])
+
+
+#: voters per block of ``_mallows_tally``; small blocks keep its temporaries in cache
+DRAW_BLOCK = 4096
+
+
+@lru_cache(maxsize=1)
+def _relabel_table(m: int, centrals: bytes) -> np.ndarray:
+    """(T, m!) int16 table for the int16 (T, m) rows ``centrals``: entry
+    [t, b] is the ``_rankings_table`` index of the vote whose p-th
+    alternative is ``centrals[t, orders[b, p]]``, base ranking b relabeled
+    into central t.  Relabeling keeps KT distances, so it turns a Mallows
+    draw around the identity into one around central t.
+
+    Each vote is looked up by its base-m code, the matrix product of the
+    central row with ``m**(m-1-positions)``; blocks of about 2**16 entries
+    bound the temporaries.  The one entry kept is keyed by the rows' bytes,
+    so the trials around one profile build it once.
+    """
+    orders, positions = _rankings_table(m)
+    rows = np.frombuffer(centrals, dtype=np.int16).reshape(-1, m)
+    powers = np.float64(m) ** (m - 1 - np.arange(m))
+    index = np.zeros(m**m, dtype=np.int16)  # base-m code -> lexicographic index
+    index[(orders @ powers).astype(np.intp)] = np.arange(len(orders), dtype=np.int16)
+    place = (np.float64(m) ** (m - 1 - positions)).T  # (m, m!)
+    table = np.empty((len(rows), len(orders)), dtype=np.int16)
+    block = max(1, (1 << 16) // len(orders))
+    for lo in range(0, len(rows), block):
+        codes = rows[lo : lo + block] @ place
+        table[lo : lo + block] = index[codes.astype(np.intp)]
+    table.setflags(write=False)
+    return table
+
+
+def _mallows_tally(
+    centrals: np.ndarray, counts: np.ndarray, phis: Sequence, rng: np.random.Generator
+) -> np.ndarray:
+    """Counts over ``all_rankings(m)`` of ``counts[t]`` Mallows votes around
+    row ``centrals[t]`` at dispersion ``phis[t]``, for m <= SAMPLE_ENUM_MAX_M.
+
+    Every draw is a base ranking from the density around the identity,
+    relabeled into its type's central through ``_relabel_table``.  A light
+    type (weight below m!) draws each voter from its dispersion's alias
+    table with one uniform, voter by voter in type order, in blocks of
+    DRAW_BLOCK voters that keep the temporaries small.  A heavy type then
+    draws one multinomial over the base density, type by type, since m!
+    binomials cost less than that many alias draws.
+    """
+    m = centrals.shape[1]
+    size = factorial(m)
+    relabel = _relabel_table(m, np.ascontiguousarray(centrals, dtype=np.int16).tobytes())
+    # typed keys: one table per (m, type(phi), phi), as _alias_table keeps them
+    keys = [(type(p), p) for p in phis]
+    group = {key: g for g, key in enumerate(dict.fromkeys(keys))}
+    tables = [_alias_table(m, phi) for _, phi in group]
+    prob = np.array([t[1] for t in tables], dtype=np.float64).reshape(-1, size)
+    alias = np.array([t[2] for t in tables], dtype=np.int16).reshape(-1, size)
+    type_table = np.array([group[key] for key in keys], dtype=np.intp)
+    light = np.flatnonzero(counts < size)
+    voter = np.repeat(light.astype(np.int32), counts[light])
+    tally = np.zeros(size, dtype=np.int64)
+    for lo in range(0, len(voter), DRAW_BLOCK):
+        types = voter[lo : lo + DRAW_BLOCK]
+        base = _alias_draw(prob, alias, type_table[types], rng.random(len(types)))
+        tally += np.bincount(relabel[types, base], minlength=size)
+    for t in np.flatnonzero(counts >= size).tolist():
+        tally[relabel[t]] += rng.multinomial(int(counts[t]), tables[type_table[t]][0])
+    return tally
 
 
 def _mallows_votes(
@@ -553,11 +673,15 @@ def _mallows_votes(
     """
     m = centrals.shape[1]
     entry = np.repeat(np.arange(len(counts)), counts)
-    phis = phis[entry]
+    voter_phis = phis[entry]
     u = rng.random((len(entry), m - 1))
     slots = np.zeros((len(entry), m), dtype=np.int16)
-    for phi in np.unique(phis).tolist():
-        rows = np.flatnonzero(phis == phi)
+    # distinct dispersions in sorted order, as np.unique gives them without
+    # importing numpy.ma; no draw happens in this loop
+    ordered = np.sort(phis)
+    distinct = ordered[:1].tolist() + ordered[1:][ordered[1:] != ordered[:-1]].tolist()
+    for phi in distinct:
+        rows = np.flatnonzero(voter_phis == phi)
         for i in range(2, m + 1):
             weights = phi ** np.arange(i - 1, -1, -1, dtype=np.float64)
             cum = np.cumsum(weights)  # sequential, as the scalar loop adds
@@ -577,12 +701,16 @@ def _mallows_votes(
 def sample_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
     """Draw one ranking per unit of weight, independently per entry.
 
-    Requires an integral parameter profile.  Two branches:
+    Requires an integral parameter profile.  Three kernels:
 
-    - m <= SAMPLE_ENUM_MAX_M: the draw is aggregated.  Counts over the m!
-      enumerated rankings follow a multinomial with the entry's exact
-      density, which is distributed identically to per-draw sampling and
-      far faster at gadget scales.
+    - Mallows, m <= SAMPLE_ENUM_MAX_M: ``_mallows_tally`` counts the votes
+      over the m! enumerated rankings.  A voter of a type lighter than m!
+      is one alias-table draw from the density around the identity; a
+      heavier type draws one multinomial over that density.  Either draw
+      is then relabeled into the type's central ranking.
+    - Plackett-Luce, m <= SAMPLE_ENUM_MAX_M: one multinomial per entry over
+      the entry's exact density.  Both are distributed identically to
+      per-draw sampling and far faster at gadget scales.
     - larger m: per-draw sampling.  A Mallows profile takes all its
       uniforms in one batch and decodes the repeated insertions in numpy;
       it reads the same uniforms in the same order as one
@@ -594,24 +722,28 @@ def sample_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
     if not pp.is_integral:
         raise ValueError("sampling requires an integral parameter profile")
     m = pp.m
-    if m <= SAMPLE_ENUM_MAX_M:
-        orders = _rankings_table(m)[0]
-        counts = np.zeros(len(orders), dtype=np.int64)
-        for param, w in pp.entries:
-            counts += rng.multinomial(int(w), _pmf_vector(param))
-        keep = counts.nonzero()[0]
-        return Profile(m, orders[keep], counts[keep])
     if pp.family == "pl":
+        if m <= SAMPLE_ENUM_MAX_M:
+            counts = np.zeros(factorial(m), dtype=np.int64)
+            for param, w in pp.entries:
+                counts += rng.multinomial(int(w), _pmf_vector(param))
+            return _tallied_profile(m, counts)
         rows = [pl_sample(p, rng).order for p, w in pp.entries for _ in range(int(w))]
         votes = np.array(rows, dtype=np.int16).reshape(-1, m)
-    else:
-        votes = _mallows_votes(
-            np.array([p.central.order for p, _ in pp.entries], dtype=np.int16).reshape(-1, m),
-            np.array([int(w) for _, w in pp.entries], dtype=np.int64),
-            np.array([float(p.phi) for p, _ in pp.entries], dtype=np.float64),
-            rng,
-        )
+        return Profile(m, votes, np.ones(len(votes), dtype=np.int64)).aggregated()
+    centrals = np.array([p.central.order for p, _ in pp.entries], dtype=np.int16).reshape(-1, m)
+    counts = np.array([int(w) for _, w in pp.entries], dtype=np.int64)
+    phis = [p.phi for p, _ in pp.entries]
+    if m <= SAMPLE_ENUM_MAX_M:
+        return _tallied_profile(m, _mallows_tally(centrals, counts, phis, rng))
+    votes = _mallows_votes(centrals, counts, np.array([float(p) for p in phis]), rng)
     return Profile(m, votes, np.ones(len(votes), dtype=np.int64)).aggregated()
+
+
+def _tallied_profile(m: int, counts: np.ndarray) -> Profile:
+    """The profile of nonzero ``counts`` over ``all_rankings(m)``."""
+    keep = counts.nonzero()[0]
+    return Profile(m, _rankings_table(m)[0][keep], counts[keep])
 
 
 def mallows_parameter_profile(central: Profile, phi) -> ParameterProfile:
@@ -620,34 +752,23 @@ def mallows_parameter_profile(central: Profile, phi) -> ParameterProfile:
     return ParameterProfile.from_entries(central.m, pairs)
 
 
-@lru_cache(maxsize=1, typed=True)
-def _last_parameter_profile(central: Profile, phi) -> ParameterProfile:
-    # Profile is immutable and hashes by identity, so repeated trials around
-    # one central profile build its parameters once
-    return mallows_parameter_profile(central, phi)
-
-
 def sample_mallows_around(central: Profile, phi, rng: np.random.Generator) -> Profile:
     """Draw one Mallows vote around each unit of weight of an integral
     profile, all at dispersion ``phi``.
 
     Returns ``sample_profile(mallows_parameter_profile(central, phi), rng)``
-    bit for bit, with the same RNG draws.  Up to SAMPLE_ENUM_MAX_M that is
-    how it is computed: there are at most m! parameters, and the pmf cache
-    is keyed by them; the parameter profile of the last (central, phi) is
-    kept for the next call.  Above it no parameter objects are built.  The
-    aggregated central rows are unique, lexicographic and nonzero, the
+    bit for bit, with the same RNG draws, but builds no parameter objects.
+    The aggregated central rows are unique, lexicographic and nonzero, the
     order ``ParameterProfile.from_entries`` sorts the parameters into, so
-    they go to the repeated-insertion sampler as they are.
+    they go to the same sampling kernel as they are.
     """
     phi = _checked_phi(phi)
     m = central.m
-    if m <= SAMPLE_ENUM_MAX_M:
-        return sample_profile(_last_parameter_profile(central, phi), rng)
     central = central.aggregated()
     if not central.is_integral:
         raise ValueError("sampling requires an integral parameter profile")
     counts = np.array([int(w) for w in central.weights.tolist()], dtype=np.int64)
+    if m <= SAMPLE_ENUM_MAX_M:
+        return _tallied_profile(m, _mallows_tally(central.votes, counts, [phi] * len(counts), rng))
     votes = _mallows_votes(central.votes, counts, np.full(len(counts), float(phi)), rng)
     return Profile(m, votes, np.ones(len(votes), dtype=np.int64)).aggregated()
-

@@ -191,6 +191,12 @@ def test_parse_number_grammar():
     assert parse_number("0.25") == 0.25 and type(parse_number("1.0")) is float
 
 
+@pytest.mark.parametrize("token", ["abc", "1/0", "0/0", "1//2", "", "1/2/3"])
+def test_parse_number_rejects_with_value_error(token):
+    with pytest.raises(ValueError):
+        parse_number(token)
+
+
 def test_headers_allow_spaces_around_equals():
     assert parse_profile("m = 3\nn = 1\n1: 0,1,2\n").m == 3
     assert parse_wmg("m = 2\n0 -> 1 w=1/2\n").matrix[0, 1] == Fraction(1, 2)

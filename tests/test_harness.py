@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -168,21 +169,31 @@ def test_concentration_accepts_explicit_inputs():
     assert rep.n == 4
 
 
-def test_concentration_m8_builds_no_mallows_params(monkeypatch):
-    """Above the enumeration threshold the per-voter noise is drawn straight
-    from the central profile's arrays, without one parameter object per vote."""
+def _concentration_without_mallows_params(monkeypatch, m):
     def boom(*args, **kwargs):
         raise AssertionError("MallowsParam built while sampling around a central profile")
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("votelab") and hasattr(mod, "MallowsParam"):
             monkeypatch.setattr(mod, "MallowsParam", boom)
-    m, n = 8, 400
+    n = 400
     central = central_profile("random", m, n, np.random.default_rng(12))
     cfg = ExperimentConfig(experiment="concentration", m=m, n=n, phi=0.5, t=2.0,
                            trials=3, seed=13)
     report, rows = avg_kt_concentration_check(cfg, central=central)
     assert report.passed and len(rows) == 3
+
+
+def test_concentration_m8_builds_no_mallows_params(monkeypatch):
+    """Above the enumeration threshold the per-voter noise is drawn straight
+    from the central profile's arrays, without one parameter object per vote."""
+    _concentration_without_mallows_params(monkeypatch, 8)
+
+
+def test_concentration_m6_builds_no_mallows_params(monkeypatch):
+    """Up to the enumeration threshold the alias-table kernel takes the same
+    arrays, and builds its base densities without parameter objects."""
+    _concentration_without_mallows_params(monkeypatch, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +440,58 @@ def test_cli_reduce_and_bm(tmp_path):
     proc2 = run_cli("bm-check", "--m", "33", "--n", "1", "--phi-max", "0.5")
     rec = json.loads(proc2.stdout)
     assert rec["threshold_m"] == 32.0 and rec["inequality_holds"]
+
+
+def test_cli_phi_reads_the_number_grammar():
+    from votelab.cli import build_parser
+
+    parser = build_parser()
+    for argv, want in (
+        (["gadget", "triangle", "--out", "x"], Fraction(1, 2)),
+        (["verify", "gadgets"], Fraction(1, 2)),
+        (["reduce", "--in", "x"], 0.5),
+        (["reduce", "--in", "x", "--phi", "1/2"], Fraction(1, 2)),
+        (["gadget", "triangle", "--phi", "1", "--out", "x"], 1),
+        (["verify", "witness", "--phi", "0.25"], 0.25),
+    ):
+        phi = parser.parse_args(argv).phi
+        assert phi == want and type(phi) is type(want)
+
+
+def test_cli_reduce_accepts_a_fraction_phi(tmp_path):
+    inst_path = tmp_path / "tri.fas"
+    inst_path.write_text(format_fas(FasInstance(Digraph.from_edges(3, [(0, 1), (1, 2), (2, 0)]),
+                                                1, "eulerian")))
+    args = ("reduce", "--in", str(inst_path), "--K", "4", "--trials", "2", "--seed", "3")
+    half = run_cli(*args, "--phi", "1/2")
+    assert half.returncode == 0, half.stderr
+    assert half.stdout == run_cli(*args, "--phi", "0.5").stdout
+
+
+def test_cli_integer_phi_is_exact_as_in_a_parameter_file():
+    # phi=1 in a .pprofile file reads back as an exact Fraction; so does --phi 1
+    from votelab.cli import build_parser
+    from votelab.formats import parse_parameter_profile
+    from votelab.gadgets import mallows_witness
+
+    args = build_parser().parse_args(["gadget", "triangle", "--m", "4", "--phi", "1",
+                                      "--out", "x"])
+    from_cli = mallows_witness(args.m, args.phi).phi
+    text = "model=mallows\nm=4\n1 | phi=1; central=0,1,2,3\n"
+    from_file = parse_parameter_profile(text).entries[0][0].phi
+    assert from_cli == from_file == 1
+    assert type(from_cli) is type(from_file) is Fraction
+
+
+@pytest.mark.parametrize("token", ["abc", "1/0", "1//2", ""])
+def test_cli_bad_phi_is_a_usage_error(token, capsys):
+    from votelab.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "gadgets", "--phi", token])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--phi" in err
 
 
 def test_cli_experiment(tmp_path):

@@ -1,6 +1,8 @@
 """Model exactness: densities, marginals, samplers, expected graphs, bounds."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -497,23 +499,46 @@ def test_pmf_vector_rounds_fraction_and_float_phi_as_the_density_does():
 
 
 def test_pmf_cache_keeps_every_type_of_a_resampled_profile():
-    # 1,440 types (two dispersions, every central at m=6): sampling the profile
-    # again must hit the cache for every type, not evict them cyclically
+    # 240 Plackett-Luce types (two utility vectors, every relabeling at m=5):
+    # sampling the profile again must hit the cache for every type, not
+    # evict them cyclically
     from itertools import permutations
 
     from votelab.models import SAMPLE_ENUM_MAX_M, _pmf_vector
 
     assert _pmf_vector.cache_info().maxsize == math.factorial(SAMPLE_ENUM_MAX_M)
+    pp = ParameterProfile.from_entries(5, [
+        (permute_param(Permutation(sigma), PlackettLuceParam.from_utilities(u)), 1)
+        for sigma in permutations(range(5)) for u in ((5.0, 4, 3, 2, 1), (9.0, 4, 3, 2, 1))
+    ])
+    assert pp.type_count == 240
+    rng = np.random.default_rng(41)
+    sample_profile(pp, rng)
+    before = _pmf_vector.cache_info()
+    sample_profile(pp, rng)
+    after = _pmf_vector.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (240, 0)
+
+
+def test_resampled_mallows_profile_rebuilds_no_table():
+    # 1,440 types (two dispersions, every central at m=6): sampling the
+    # profile again builds no alias or relabel table and no per-type density
+    from itertools import permutations
+
+    from votelab.models import _alias_table, _pmf_vector, _relabel_table
+
     pp = ParameterProfile.from_entries(6, [
         (MallowsParam(Ranking(r), phi), 1)
         for r in permutations(range(6)) for phi in (Fraction(1, 3), Fraction(2, 3))
     ])
     rng = np.random.default_rng(41)
     sample_profile(pp, rng)
-    before = _pmf_vector.cache_info()
+    caches = (_alias_table, _relabel_table, _pmf_vector)
+    before = [c.cache_info() for c in caches]
     sample_profile(pp, rng)
-    after = _pmf_vector.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (1440, 0)
+    after = [c.cache_info() for c in caches]
+    assert [a.misses - b.misses for a, b in zip(after, before)] == [0, 0, 0]
+    assert after[2].hits == before[2].hits
 
 
 def test_pairwise_cache_is_bounded_and_typed():
@@ -653,18 +678,157 @@ def test_sample_mallows_around_rejects_what_sample_profile_rejects(m):
         assert str(got.value) == str(want.value)
 
 
-def test_sample_mallows_around_builds_parameters_once_per_central():
-    from votelab.models import _last_parameter_profile
+def test_sample_mallows_around_builds_tables_once_per_central(monkeypatch):
+    from votelab import models
+    from votelab.models import _alias_table, _relabel_table
 
-    central = _unaggregated_central(5, np.random.default_rng(3))
+    central = _unaggregated_central(6, np.random.default_rng(3))
     rng = np.random.default_rng(0)
     sample_mallows_around(central, 0.1, rng)
-    before = _last_parameter_profile.cache_info()
+    before = [c.cache_info() for c in (_alias_table, _relabel_table)]
     sample_mallows_around(central, 0.1, rng)
     sample_mallows_around(central, 0.1, rng)
-    mid = _last_parameter_profile.cache_info()
-    assert (mid.hits - before.hits, mid.misses - before.misses) == (2, 0)
-    # Fraction(0.1) == 0.1, but its parameters keep their own exactness
+    mid = [c.cache_info() for c in (_alias_table, _relabel_table)]
+    assert [(a.hits - b.hits, a.misses - b.misses) for a, b in zip(mid, before)] == [(2, 0)] * 2
+    assert mid[1].maxsize == 1
+    # Fraction(0.1) == 0.1, but its draws keep their own exactness
     _assert_same_sample(central, Fraction(0.1))
-    assert _last_parameter_profile.cache_info().misses == mid.misses + 1
-    assert mid.maxsize == 1
+    exact, approx = _alias_table(6, Fraction(0.1)), _alias_table(6, 0.1)
+    assert exact[0].tobytes() != approx[0].tobytes()
+    assert _relabel_table.cache_info().misses == mid[1].misses
+    looked_up = []
+    monkeypatch.setattr(models, "_alias_table",
+                        lambda m, phi: looked_up.append(phi) or _alias_table(m, phi))
+    sample_mallows_around(central, Fraction(0.1), rng)
+    sample_mallows_around(central, 0.1, rng)
+    assert [type(phi) for phi in looked_up] == [Fraction, float]
+
+
+# ---------------------------------------------------------------------------
+# the alias-table kernel of m <= 7 Mallows sampling
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 6])
+@pytest.mark.parametrize("phi", [0.4, Fraction(2, 3), Fraction(1)])
+def test_alias_table_reproduces_base_density(m, phi):
+    from votelab.models import _alias_table
+
+    pmf, prob, alias = _alias_table(m, phi)
+    assert pmf.tobytes() == _per_ranking_pmf(MallowsParam(ladder(m), phi)).tobytes()
+    size = len(pmf)
+    mass = prob.copy()
+    np.add.at(mass, alias.astype(np.intp), 1.0 - prob)
+    assert np.allclose(mass / size, pmf, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 7])
+def test_alias_draw_matches_per_voter_loop(m):
+    from votelab.models import _alias_draw, _alias_table
+
+    tables = [_alias_table(m, phi) for phi in (0.4, Fraction(5, 6))]
+    prob = np.array([t[1] for t in tables])
+    alias = np.array([t[2] for t in tables])
+    size = prob.shape[1]
+    rng = np.random.default_rng(m)
+    u = rng.random(5000)
+    table = rng.integers(0, 2, size=len(u))
+    u[:4] = [0.0, 0.5, np.nextafter(1.0, 0.0), 1.0 / size]
+    # uniforms whose coin lands exactly on prob[col], where the column is not kept
+    edges = [(c + p) / size for c, p in enumerate(prob[0].tolist()) if p < 1.0]
+    edges = [v for v in edges if v * size - int(v * size) == prob[0, int(v * size)]]
+    u[4 : 4 + len(edges)] = edges
+    table[4 : 4 + len(edges)] = 0
+    want = []
+    for v, g in zip(u.tolist(), table.tolist()):
+        x = v * size
+        col = min(int(x), size - 1)
+        want.append(col if x - col < prob[g, col] else int(alias[g, col]))
+    assert _alias_draw(prob, alias, table, u).tolist() == want
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_relabel_table_is_ranking_composition(m):
+    from votelab.models import _rankings_table, _relabel_table
+
+    orders = _rankings_table(m)[0]
+    rng = np.random.default_rng(m)
+    # more centrals than one block of the table holds at m = 7
+    centrals = np.array([np.arange(m)] + [rng.permutation(m) for _ in range(19)], dtype=np.int16)
+    table = _relabel_table(m, centrals.tobytes())
+    assert table.dtype == np.int16 and table.shape == (20, math.factorial(m))
+    for t, central in enumerate(centrals):
+        assert np.array_equal(orders[table[t]], central[orders])
+    rankings = all_rankings(m)
+    sigma = Permutation(tuple(centrals[-1].tolist()))
+    for b in rng.choice(len(rankings), size=min(10, len(rankings)), replace=False).tolist():
+        assert rankings[table[-1, b]] == permute(sigma, rankings[b])
+
+
+def _pooled_p_value(pp, reps, seed):
+    """Chi-square p-value of ``reps`` pooled samples against sum_t w_t pmf_t."""
+    index = {r.order: i for i, r in enumerate(all_rankings(pp.m))}
+    counts = np.zeros(len(index))
+    rng = np.random.default_rng(seed)
+    for _ in range(reps):
+        prof = sample_profile(pp, rng)
+        for row, w in zip(prof.votes.tolist(), prof.weights.tolist()):
+            counts[index[tuple(row)]] += w
+    expected = reps * sum(int(w) * _per_ranking_pmf(p) for p, w in pp.entries)
+    return sp_stats.chisquare(counts, f_exp=expected)[1]
+
+
+def _random_central(m, rng):
+    return Ranking(tuple(rng.permutation(m).tolist()))
+
+
+def test_sample_profile_chi_square_light_type():
+    rng = np.random.default_rng(51)
+    pp = ParameterProfile.from_entries(4, [(MallowsParam(_random_central(4, rng), 0.6), 20)])
+    assert _pooled_p_value(pp, 4000, 52) > 0.001
+
+
+def test_sample_profile_chi_square_heavy_type():
+    rng = np.random.default_rng(53)
+    pp = ParameterProfile.from_entries(4, [(MallowsParam(_random_central(4, rng), 0.6), 1000)])
+    assert _pooled_p_value(pp, 100, 54) > 0.001
+
+
+def test_sample_profile_chi_square_two_dispersions():
+    # light and heavy types at a float and an exact dispersion
+    rng = np.random.default_rng(55)
+    entries = [(0.3, 7), (Fraction(2, 3), 20), (0.3, 500), (Fraction(2, 3), 23), (0.3, 23),
+               (Fraction(2, 3), 100)]
+    pp = ParameterProfile.from_entries(4, [
+        (MallowsParam(_random_central(4, rng), phi), w) for phi, w in entries
+    ])
+    assert pp.type_count == len(entries)
+    assert _pooled_p_value(pp, 200, 56) > 0.001
+
+
+def test_sample_profile_chi_square_gadget_profile():
+    from votelab.gadgets import build_triangle_profile, mallows_witness, round_to_integral
+
+    pp = round_to_integral(build_triangle_profile(mallows_witness(4, HALF)), 4)
+    assert pp.family == "mallows" and pp.type_count > 1
+    assert _pooled_p_value(pp, 400, 57) > 0.001
+
+
+def test_sampling_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma lazily, about 1 MB of memory
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from votelab.core import Ranking\n"
+        "from votelab.models import MallowsParam, ParameterProfile, sample_profile\n"
+        "for m in (6, 8):\n"
+        "    pp = ParameterProfile.from_entries(m, [\n"
+        "        (MallowsParam(Ranking(tuple(range(m))), 0.5), 30),\n"
+        "        (MallowsParam(Ranking(tuple(range(m))[::-1]), 0.25), 800)])\n"
+        "    sample_profile(pp, np.random.default_rng(m))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
