@@ -222,8 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  A ``ValueError`` or ``OSError`` it raises (bad
+    input, unreadable file) is printed as one line on stderr, exit code 2."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print(f"votelab {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

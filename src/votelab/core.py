@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ Weight = Union[int, float, Fraction]
 __all__ = [
     "Ranking",
     "Profile",
+    "Tally",
     "WeightedMajorityGraph",
     "Digraph",
     "Permutation",
@@ -137,6 +138,9 @@ class Profile:
     votes: np.ndarray
     weights: np.ndarray
 
+    # set on the profiles ``aggregated`` returns, whose rows and dtype are canonical
+    _aggregated = False
+
     def __post_init__(self):
         votes = np.asarray(self.votes, dtype=np.int16).reshape(-1, self.m)
         if votes.shape[0] and not bool(
@@ -217,8 +221,16 @@ class Profile:
         left-to-right loop would.  Integer and boolean weights give int64,
         float weights float64 (int64 if nothing is left); other dtypes
         (object, including Fractions) are summed as Python scalars and
-        packed by ``weight_array``.
+        packed by ``weight_array``.  A profile this method returned is
+        already in that form and is returned as it is.
         """
+        if self._aggregated:
+            return self
+        out = self._merged()
+        object.__setattr__(out, "_aggregated", True)
+        return out
+
+    def _merged(self) -> "Profile":
         k = len(self)
         if k == 0:
             return Profile.empty(self.m)
@@ -259,6 +271,47 @@ class Profile:
 
     def __len__(self) -> int:
         return self.votes.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class Tally:
+    """An election as the solvers read it.
+
+    ``matrix`` is the pairwise tally N (``matrix[a, b]`` is the weight of
+    the votes ranking a over b), ``position_sums[a]`` the weighted sum of
+    a's 0-based positions, ``n`` the total weight and ``vote`` the
+    lexicographically first vote of nonzero weight (``None`` when there is
+    none).  An integral election has int64 arrays and an int ``n``; other
+    weights keep their float or object dtype.
+    """
+
+    m: int
+    n: Weight
+    matrix: np.ndarray
+    position_sums: np.ndarray
+    vote: Optional[Ranking]
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _readonly(self.matrix))
+        object.__setattr__(self, "position_sums", _readonly(self.position_sums))
+
+    @property
+    def is_integral(self) -> bool:
+        return self.matrix.dtype == np.int64
+
+    @staticmethod
+    def of(election: "Profile | Tally") -> "Tally":
+        """The tally of a profile, read off its aggregated rows; a tally is
+        returned as it is."""
+        if isinstance(election, Tally):
+            return election
+        agg = election.aggregated()
+        w = agg.weights
+        n_tally, sums, n = pairwise_tally(agg), w @ agg.positions.astype(w.dtype), agg.n
+        if agg.is_integral:
+            n_tally, sums, n = n_tally.astype(np.int64), sums.astype(np.int64), int(n)
+        vote = Ranking(tuple(agg.votes[0].tolist())) if len(agg) else None
+        return Tally(agg.m, n, n_tally, sums, vote)
 
 
 @dataclass(frozen=True, eq=False)

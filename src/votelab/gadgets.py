@@ -54,7 +54,7 @@ from .models import (
     expected_wmg,
     mallows_pairwise,
     permute_param,
-    sample_profile,
+    sample_tally,
 )
 from .solvers import TimedOut, _adjacency, _full_lattice, get_solver, slater_brute, solve_with_budget
 
@@ -550,6 +550,7 @@ class ReductionOutcome:
     elapsed: float
     op_count: int
     budget: float
+    pilot: float  # median pilot solve time of the instance, in seconds
 
 
 def build_instance_profile(inst: FasInstance, cfg: ReductionConfig) -> ParameterProfile:
@@ -571,8 +572,9 @@ def _solver_for(kind: str, cfg: ReductionConfig):
 @lru_cache(maxsize=1)
 def _instance_plan(
     pp: ParameterProfile, kind: str, cfg: ReductionConfig
-) -> tuple[ParameterProfile, float]:
-    """The rounded profile and the solve budget shared by an instance's trials.
+) -> tuple[ParameterProfile, float, float]:
+    """The rounded profile, the median pilot time and the solve budget
+    shared by an instance's trials.
 
     The pilots draw from their own fixed stream, so a trial's outcome
     depends only on (instance, cfg, trial rng).  ParameterProfile is
@@ -582,9 +584,10 @@ def _instance_plan(
     ppi = round_to_integral(pp, cfg.K, cfg.max_n)
     solver, _ = _solver_for(kind, cfg)
     pilot_rng = np.random.default_rng(0)
-    pilot_times = [solver(sample_profile(ppi, pilot_rng)).elapsed for _ in range(cfg.pilot_solves)]
-    budget = max(cfg.budget_multiplier * statistics.median(pilot_times), cfg.min_budget)
-    return ppi, budget
+    pilot = statistics.median(
+        solver(sample_tally(ppi, pilot_rng)).elapsed for _ in range(cfg.pilot_solves)
+    )
+    return ppi, pilot, max(cfg.budget_multiplier * pilot, cfg.min_budget)
 
 
 def run_reduction(
@@ -595,8 +598,8 @@ def run_reduction(
 ) -> ReductionOutcome:
     """One randomized decision of the feedback-arc-set instance.
 
-    Builds the gadget profile, rounds it to m^K voters, samples one
-    election from ``rng``, solves Kemeny (Eulerian kind) or Slater
+    Builds the gadget profile, rounds it to m^K voters, samples the tally
+    of one election from ``rng``, solves Kemeny (Eulerian kind) or Slater
     (tournament kind) under the pilot-estimated budget, and answers YES
     only when the returned ranking breaks at most t edges of the instance
     graph.  The answer check is against the instance graph itself, so a
@@ -610,21 +613,22 @@ def run_reduction(
     g = inst.graph
     if not g.edges:
         # empty graph is acyclic; every ranking certifies t >= 0
-        return ReductionOutcome("YES", True, 0, 0, cfg.solver, 0.0, 0, 0.0)
+        return ReductionOutcome("YES", True, 0, 0, cfg.solver, 0.0, 0, 0.0, 0.0)
     pp = prebuilt if prebuilt is not None else build_instance_profile(inst, cfg)
-    ppi, budget = _instance_plan(pp, inst.kind, cfg)
-    n = int(ppi.total_weight)
+    ppi, pilot, budget = _instance_plan(pp, inst.kind, cfg)
     solver, solver_name = _solver_for(inst.kind, cfg)
 
-    prof = sample_profile(ppi, rng)
+    tally = sample_tally(ppi, rng)
+    n = tally.n
     start = time.perf_counter()
-    res = solve_with_budget(solver, prof, budget)
+    res = solve_with_budget(solver, tally, budget)
     elapsed = time.perf_counter() - start
     if isinstance(res, TimedOut):
-        return ReductionOutcome("NO", False, None, n, solver_name, elapsed, 0, budget)
+        return ReductionOutcome("NO", False, None, n, solver_name, elapsed, 0, budget, pilot)
     back = kt_to_digraph(res.ranking, g)
     answer = "YES" if back <= inst.t else "NO"
-    return ReductionOutcome(answer, True, back, n, solver_name, res.elapsed, res.op_count, budget)
+    return ReductionOutcome(answer, True, back, n, solver_name, res.elapsed, res.op_count,
+                            budget, pilot)
 
 
 # ---------------------------------------------------------------------------

@@ -516,8 +516,9 @@ def reduction_trials(
     The summary's answer amplifies the one-sided error: YES errors are
     impossible (the certificate is checked against the instance graph), so
     any YES trial certifies a YES answer.  Each row carries the trial's
-    solve budget as ``budget_ms``; it is estimated once per instance, so
-    it is the same in every row.
+    solve budget as ``budget_ms`` and the median pilot solve time it was
+    estimated from as ``pilot_ms``; both belong to the instance, so they
+    are the same in every row.
     """
     pp = build_instance_profile(inst, rcfg)
     rows = []
@@ -538,6 +539,7 @@ def reduction_trials(
                 "answer": out.answer,
                 "back_edges": out.back_edges,
                 "budget_ms": out.budget * 1000.0,
+                "pilot_ms": out.pilot * 1000.0,
             }
         )
     summary = {

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .core import (
     Permutation,
     Profile,
     Ranking,
+    Tally,
     Weight,
     WeightedMajorityGraph,
     all_rankings,
@@ -56,6 +57,7 @@ __all__ = [
     "kt_bound",
     "mean_expected_kt_bound",
     "sample_profile",
+    "sample_tally",
     "mallows_parameter_profile",
     "sample_mallows_around",
     "permute_param",
@@ -588,7 +590,7 @@ def _alias_draw(
     return np.where(x - col < prob[table, col], col, alias[table, col])
 
 
-#: voters per block of ``_mallows_tally``; small blocks keep its temporaries in cache
+#: voters per block of ``_mallows_sampler``; small blocks keep its temporaries in cache
 DRAW_BLOCK = 4096
 
 
@@ -620,11 +622,13 @@ def _relabel_table(m: int, centrals: bytes) -> np.ndarray:
     return table
 
 
-def _mallows_tally(
-    centrals: np.ndarray, counts: np.ndarray, phis: Sequence, rng: np.random.Generator
-) -> np.ndarray:
-    """Counts over ``all_rankings(m)`` of ``counts[t]`` Mallows votes around
-    row ``centrals[t]`` at dispersion ``phis[t]``, for m <= SAMPLE_ENUM_MAX_M.
+def _mallows_sampler(
+    centrals: np.ndarray, counts: np.ndarray, phis: Sequence
+) -> Callable[[np.random.Generator], np.ndarray]:
+    """A function of an RNG drawing the counts over ``all_rankings(m)`` of
+    ``counts[t]`` Mallows votes around row ``centrals[t]`` at dispersion
+    ``phis[t]``, for m <= SAMPLE_ENUM_MAX_M.  The per-type arrays are built
+    here, once; each call only draws.
 
     Every draw is a base ranking from the density around the identity,
     relabeled into its type's central through ``_relabel_table``.  A light
@@ -646,14 +650,20 @@ def _mallows_tally(
     type_table = np.array([group[key] for key in keys], dtype=np.intp)
     light = np.flatnonzero(counts < size)
     voter = np.repeat(light.astype(np.int32), counts[light])
-    tally = np.zeros(size, dtype=np.int64)
-    for lo in range(0, len(voter), DRAW_BLOCK):
-        types = voter[lo : lo + DRAW_BLOCK]
-        base = _alias_draw(prob, alias, type_table[types], rng.random(len(types)))
-        tally += np.bincount(relabel[types, base], minlength=size)
-    for t in np.flatnonzero(counts >= size).tolist():
-        tally[relabel[t]] += rng.multinomial(int(counts[t]), tables[type_table[t]][0])
-    return tally
+    heavy = [(t, int(counts[t]), tables[type_table[t]][0])
+             for t in np.flatnonzero(counts >= size).tolist()]
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        tally = np.zeros(size, dtype=np.int64)
+        for lo in range(0, len(voter), DRAW_BLOCK):
+            types = voter[lo : lo + DRAW_BLOCK]
+            base = _alias_draw(prob, alias, type_table[types], rng.random(len(types)))
+            tally += np.bincount(relabel[types, base], minlength=size)
+        for t, count, pmf in heavy:
+            tally[relabel[t]] += rng.multinomial(count, pmf)
+        return tally
+
+    return draw
 
 
 def _mallows_votes(
@@ -703,11 +713,12 @@ def sample_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
 
     Requires an integral parameter profile.  Three kernels:
 
-    - Mallows, m <= SAMPLE_ENUM_MAX_M: ``_mallows_tally`` counts the votes
+    - Mallows, m <= SAMPLE_ENUM_MAX_M: ``_mallows_sampler`` counts the votes
       over the m! enumerated rankings.  A voter of a type lighter than m!
       is one alias-table draw from the density around the identity; a
       heavier type draws one multinomial over that density.  Either draw
-      is then relabeled into the type's central ranking.
+      is then relabeled into the type's central ranking.  The per-type
+      arrays are built once per profile (``_profile_sampler``).
     - Plackett-Luce, m <= SAMPLE_ENUM_MAX_M: one multinomial per entry over
       the entry's exact density.  Both are distributed identically to
       per-draw sampling and far faster at gadget scales.
@@ -718,25 +729,67 @@ def sample_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
       votes.  Plackett-Luce draws one ``pl_sample`` at a time.
 
     Either way the result is aggregated, with rows in lexicographic order.
+    The solvers read only its tally; ``sample_tally`` draws that directly.
     """
+    if pp.m <= SAMPLE_ENUM_MAX_M:
+        return _tallied_profile(pp.m, _enumerated_counts(pp, rng))
+    return _drawn_profile(pp, rng)
+
+
+def sample_tally(pp: ParameterProfile, rng: np.random.Generator) -> Tally:
+    """``Tally.of(sample_profile(pp, rng))``, from the same RNG draws.
+
+    For m <= SAMPLE_ENUM_MAX_M the tally is read off the m! counts, so no
+    profile is built.
+    """
+    if pp.m <= SAMPLE_ENUM_MAX_M:
+        return _counts_tally(pp.m, _enumerated_counts(pp, rng))
+    return Tally.of(_drawn_profile(pp, rng))
+
+
+def _require_integral(pp: ParameterProfile) -> None:
     if not pp.is_integral:
         raise ValueError("sampling requires an integral parameter profile")
+
+
+def _enumerated_counts(pp: ParameterProfile, rng: np.random.Generator) -> np.ndarray:
+    """Counts over ``all_rankings(pp.m)`` of one draw per unit of weight."""
+    if pp.family != "pl":
+        return _profile_sampler(pp)(rng)
+    _require_integral(pp)
+    counts = np.zeros(factorial(pp.m), dtype=np.int64)
+    for param, w in pp.entries:
+        counts += rng.multinomial(int(w), _pmf_vector(param))
+    return counts
+
+
+def _mallows_arrays(pp: ParameterProfile) -> tuple[np.ndarray, np.ndarray, list]:
+    """Int16 (T, m) centrals, int64 counts and the dispersions of the types
+    of an integral Mallows profile."""
+    _require_integral(pp)
+    centrals = np.array([p.central.order for p, _ in pp.entries], dtype=np.int16)
+    counts = np.array([int(w) for _, w in pp.entries], dtype=np.int64)
+    return centrals.reshape(-1, pp.m), counts, [p.phi for p, _ in pp.entries]
+
+
+@lru_cache(maxsize=1)
+def _profile_sampler(pp: ParameterProfile) -> Callable[[np.random.Generator], np.ndarray]:
+    """The Mallows sampler of an integral profile.  ParameterProfile is
+    immutable and hashes by identity, so the trials on one profile build
+    its arrays once."""
+    return _mallows_sampler(*_mallows_arrays(pp))
+
+
+def _drawn_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
+    """Per-draw sampling, for m above SAMPLE_ENUM_MAX_M."""
     m = pp.m
     if pp.family == "pl":
-        if m <= SAMPLE_ENUM_MAX_M:
-            counts = np.zeros(factorial(m), dtype=np.int64)
-            for param, w in pp.entries:
-                counts += rng.multinomial(int(w), _pmf_vector(param))
-            return _tallied_profile(m, counts)
+        _require_integral(pp)
         rows = [pl_sample(p, rng).order for p, w in pp.entries for _ in range(int(w))]
         votes = np.array(rows, dtype=np.int16).reshape(-1, m)
-        return Profile(m, votes, np.ones(len(votes), dtype=np.int64)).aggregated()
-    centrals = np.array([p.central.order for p, _ in pp.entries], dtype=np.int16).reshape(-1, m)
-    counts = np.array([int(w) for _, w in pp.entries], dtype=np.int64)
-    phis = [p.phi for p, _ in pp.entries]
-    if m <= SAMPLE_ENUM_MAX_M:
-        return _tallied_profile(m, _mallows_tally(centrals, counts, phis, rng))
-    votes = _mallows_votes(centrals, counts, np.array([float(p) for p in phis]), rng)
+    else:
+        centrals, counts, phis = _mallows_arrays(pp)
+        votes = _mallows_votes(centrals, counts, np.array([float(p) for p in phis]), rng)
     return Profile(m, votes, np.ones(len(votes), dtype=np.int64)).aggregated()
 
 
@@ -744,6 +797,27 @@ def _tallied_profile(m: int, counts: np.ndarray) -> Profile:
     """The profile of nonzero ``counts`` over ``all_rankings(m)``."""
     keep = counts.nonzero()[0]
     return Profile(m, _rankings_table(m)[0][keep], counts[keep])
+
+
+@lru_cache(maxsize=SAMPLE_ENUM_MAX_M)
+def _before_table(m: int) -> np.ndarray:
+    """Read-only int64 (m!, m*m) table over ``all_rankings(m)``: entry
+    [r, a*m + b] is 1 when ranking r places a before b."""
+    positions = _rankings_table(m)[1]
+    before = (positions[:, :, None] < positions[:, None, :]).reshape(len(positions), m * m)
+    before = before.astype(np.int64)
+    before.setflags(write=False)
+    return before
+
+
+def _counts_tally(m: int, counts: np.ndarray) -> Tally:
+    """The tally of nonzero ``counts`` over ``all_rankings(m)``, equal to
+    ``Tally.of(_tallied_profile(m, counts))``."""
+    orders, positions = _rankings_table(m)
+    nonzero = np.flatnonzero(counts)
+    vote = Ranking(tuple(orders[nonzero[0]].tolist())) if len(nonzero) else None
+    n_tally = (counts @ _before_table(m)).reshape(m, m)
+    return Tally(m, int(counts.sum()), n_tally, counts @ positions, vote)
 
 
 def mallows_parameter_profile(central: Profile, phi) -> ParameterProfile:
@@ -769,6 +843,7 @@ def sample_mallows_around(central: Profile, phi, rng: np.random.Generator) -> Pr
         raise ValueError("sampling requires an integral parameter profile")
     counts = np.array([int(w) for w in central.weights.tolist()], dtype=np.int64)
     if m <= SAMPLE_ENUM_MAX_M:
-        return _tallied_profile(m, _mallows_tally(central.votes, counts, [phi] * len(counts), rng))
+        draw = _mallows_sampler(central.votes, counts, [phi] * len(counts))
+        return _tallied_profile(m, draw(rng))
     votes = _mallows_votes(central.votes, counts, np.full(len(counts), float(phi)), rng)
     return Profile(m, votes, np.ones(len(votes), dtype=np.int64)).aggregated()

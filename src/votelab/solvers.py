@@ -10,11 +10,17 @@ forward pass that takes the smallest candidate with an optimal completion
 at every position, so score ties go to the lexicographically smallest
 order and results are reproducible and directly comparable.
 
+The solvers read an election only through its ``core.Tally``: the pairwise
+tally N, the total weight n, the vote position sums (for the window) and
+one vote (for n = 1).  They accept that tally, as ``models.sample_tally``
+draws it, or a ``Profile``, which ``Tally.of`` aggregates and tallies
+first, so both inputs take one solve path and give identical results.
+
 Unrestricted, the engine walks the full lattice of 2^m placed sets
 (``kemeny_brute``, ``slater_brute`` and ``gadgets.fas_optimum``).
 ``kemeny_dp`` restricts each position to the candidates whose average
 vote position lies within d of it, where d is the ceiling of the
-profile's average pairwise KT distance.  That average comes from the
+election's average pairwise KT distance.  That average comes from the
 pairwise tally N: the KT distances over ordered voter pairs sum to the sum
 over a < b of 2 N[a, b] N[b, a], so d takes O(m^2) exact integer work.
 The window is provably safe: in any optimal ranking the position of a
@@ -45,11 +51,10 @@ from .core import (
     Digraph,
     Profile,
     Ranking,
+    Tally,
     Weight,
     _kt_pair_total,
     _tally_score,
-    pairwise_tally,
-    umg,
 )
 
 __all__ = [
@@ -242,7 +247,7 @@ def _adjacency(g: Digraph) -> list[list[int]]:
     return [[int((u, c) in g.edges) for c in range(g.m)] for u in range(g.m)]
 
 
-def kemeny_brute(profile: Profile, deadline: Optional[float] = None) -> SolveResult:
+def kemeny_brute(election: Profile | Tally, deadline: Optional[float] = None) -> SolveResult:
     """Exact Kemeny optimum over the full lattice of placed sets.
 
     Works for any weights (ints, Fractions or floats).  Ties go to the
@@ -252,25 +257,30 @@ def kemeny_brute(profile: Profile, deadline: Optional[float] = None) -> SolveRes
     """
     start = time.perf_counter()
     order, score, ops, _ = _full_lattice(
-        profile.m, lambda: pairwise_tally(profile).tolist(), deadline
+        election.m, lambda: Tally.of(election).matrix.tolist(), deadline
     )
     return SolveResult(Ranking(tuple(order)), score, time.perf_counter() - start, ops, "brute")
 
 
-def slater_brute(profile: Profile, deadline: Optional[float] = None) -> SolveResult:
+def slater_brute(election: Profile | Tally, deadline: Optional[float] = None) -> SolveResult:
     """Minimize back-edges against the unweighted majority graph.
 
-    Depends on the profile only through its majority-graph signs, so
-    profiles with equal UMGs give identical results.
+    Depends on the election only through its majority-graph signs, so
+    elections with equal UMGs give identical results.
     """
     start = time.perf_counter()
-    order, score, ops, _ = _full_lattice(profile.m, lambda: _adjacency(umg(profile)), deadline)
+
+    def majority_adjacency() -> list[list[int]]:
+        n_tally = Tally.of(election).matrix
+        return (n_tally > n_tally.T).astype(np.int64).tolist()
+
+    order, score, ops, _ = _full_lattice(election.m, majority_adjacency, deadline)
     return SolveResult(Ranking(tuple(order)), score, time.perf_counter() - start, ops,
                        "slater-brute")
 
 
 def kemeny_dp(
-    profile: Profile,
+    election: Profile | Tally,
     window_slack: float = 1.0,
     deadline: Optional[float] = None,
 ) -> SolveResult:
@@ -282,31 +292,29 @@ def kemeny_dp(
     window.  Raises ``ValueError`` if the stored states pass
     ``DP_STATE_CAP``.
     """
-    if not profile.is_integral:
+    start = time.perf_counter()
+    tally = Tally.of(election)
+    if not tally.is_integral:
         raise ValueError("the dynamic program requires an integral profile")
     if window_slack < 1.0:
         raise ValueError("window_slack below 1 would break exactness")
-    m = profile.m
-    start = time.perf_counter()
-    agg = profile.aggregated()
-    n = int(agg.n)
+    m = tally.m
+    n = tally.n
     if n == 0:
         return SolveResult(Ranking(tuple(range(m))), 0, time.perf_counter() - start, 0, "dp",
                            DpDiagnostics(0, 0, 0))
-    first_vote = Ranking(tuple(int(a) for a in agg.votes[0]))
     if n == 1:
-        return SolveResult(first_vote, 0, time.perf_counter() - start, 0, "dp",
+        return SolveResult(tally.vote, 0, time.perf_counter() - start, 0, "dp",
                            DpDiagnostics(0, 0, 0))
-    n_tally = pairwise_tally(agg).astype(np.int64)
+    n_tally = tally.matrix
     d = -(-_kt_pair_total(n_tally) // (n * (n - 1)))  # ceiling of the average KT distance
     if d == 0:
-        return SolveResult(first_vote, 0, time.perf_counter() - start, 0, "dp",
+        return SolveResult(tally.vote, 0, time.perf_counter() - start, 0, "dp",
                            DpDiagnostics(0, 0, 1))
     radius = int(np.ceil(window_slack * d))
 
     # average positions, kept exact: pbar_num[c] = n * (1-based average position)
-    w = agg.weights.astype(np.int64)
-    pbar_num = (w[:, None] * (agg.positions.astype(np.int64) + 1)).sum(axis=0)
+    pbar_num = tally.position_sums + n
 
     # allowed[i]: candidates that may sit at 1-based position i
     allowed: list[list[int]] = [[] for _ in range(m + 1)]
@@ -348,7 +356,7 @@ def kemeny_dp(
 
 
 def solve_with_budget(
-    solver: Callable[..., SolveResult], profile: Profile, budget: float
+    solver: Callable[..., SolveResult], election: Profile | Tally, budget: float
 ) -> SolveResult | TimedOut:
     """Run a solver under a wall-clock budget in seconds.
 
@@ -361,7 +369,7 @@ def solve_with_budget(
     start = time.perf_counter()
     deadline = start + budget
     try:
-        return solver(profile, deadline=deadline)
+        return solver(election, deadline=deadline)
     except DeadlineExceeded:
         return TimedOut(elapsed=time.perf_counter() - start, budget=budget)
 

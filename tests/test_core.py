@@ -458,7 +458,15 @@ def test_aggregated_matches_dict_loop():
         Profile.from_rankings([R321, R123, R321, R231], [1, 0, 2, 0]),
     ]
     for prof in profiles:
-        assert _same_profile(prof.aggregated(), _dict_loop_aggregated(prof))
+        agg = prof.aggregated()
+        assert agg is not prof
+        assert _same_profile(agg, _dict_loop_aggregated(prof))
+        # an aggregated profile is canonical, so aggregating it again is free
+        assert agg.aggregated() is agg
+        # equal rows built directly are merged as any other input
+        rebuilt = Profile(agg.m, agg.votes, agg.weights)
+        again = rebuilt.aggregated()
+        assert again is not rebuilt and _same_profile(again, agg)
 
 
 def test_negative_weights_rejected_for_every_dtype():

@@ -47,6 +47,7 @@ from votelab.models import (
     mallows_pairwise,
     param_pmf,
     sample_profile,
+    sample_tally,
 )
 
 HALF = Fraction(1, 2)
@@ -512,9 +513,9 @@ def test_reduction_pilots_run_once_per_instance(monkeypatch):
 
     def counting(pp, rng):
         calls.append(pp)
-        return sample_profile(pp, rng)
+        return sample_tally(pp, rng)
 
-    monkeypatch.setattr(gadgets, "sample_profile", counting)
+    monkeypatch.setattr(gadgets, "sample_tally", counting)
     gadgets._instance_plan.cache_clear()
     inst = FasInstance(TRIANGLE, 1, "eulerian")
     cfg = ReductionConfig(K=6)

@@ -271,11 +271,44 @@ def test_reduction_trials_summary_and_log_shape():
     assert len(rows) == 5
     assert set(rows[0]) == {
         "seed", "K", "n", "solver", "finished", "elapsed_ms", "op_count",
-        "answer", "back_edges", "budget_ms",
+        "answer", "back_edges", "budget_ms", "pilot_ms",
     }
-    # the budget is estimated once per instance and shared by every trial
-    assert len({r["budget_ms"] for r in rows}) == 1
-    assert rows[0]["budget_ms"] >= ReductionConfig(K=6).min_budget * 1000.0
+    # the budget and the pilot time it comes from belong to the instance
+    assert len({(r["budget_ms"], r["pilot_ms"]) for r in rows}) == 1
+    cfg = ReductionConfig(K=6)
+    assert rows[0]["budget_ms"] == pytest.approx(
+        max(cfg.budget_multiplier * rows[0]["pilot_ms"], cfg.min_budget * 1000.0))
+    assert rows[0]["pilot_ms"] > 0
+
+
+def test_reduction_trials_build_sampling_arrays_once_and_no_profile(monkeypatch):
+    # m <= 7 Mallows trials sample a tally from arrays built once per instance
+    from votelab import core, gadgets, models
+
+    made = []
+    init = core.Profile.__post_init__
+
+    def counting(self):
+        made.append(self.m)
+        init(self)
+
+    def no_profile(m, counts):
+        raise AssertionError("a reduction trial built a profile from its counts")
+
+    tri = Digraph.from_edges(4, [(0, 1), (1, 2), (2, 0)])
+    inst = FasInstance(tri, 1, "eulerian")
+    gadgets._instance_plan.cache_clear()
+    models._profile_sampler.cache_clear()
+    monkeypatch.setattr(core.Profile, "__post_init__", counting)
+    monkeypatch.setattr(models, "_tallied_profile", no_profile)
+    # no budget floor, so the budget is the multiple of the pilot time it reports
+    cfg = ReductionConfig(K=5, budget_multiplier=1000.0, min_budget=0.0)
+    summary, rows = reduction_trials(inst, cfg, trials=5, master_seed=2)
+    assert len(rows) == 5 and summary["yes_count"] >= 1
+    assert models._profile_sampler.cache_info().misses == 1
+    assert made == []
+    assert rows[0]["pilot_ms"] > 0
+    assert rows[0]["budget_ms"] == pytest.approx(1000.0 * rows[0]["pilot_ms"])
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +525,37 @@ def test_cli_bad_phi_is_a_usage_error(token, capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "--phi" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gadget", "triangle", "--m", "4", "--phi", "1", "--out", "{tmp}/t.pprofile"],
+     "triangle margin sum 0 is not positive"),
+    (["verify", "gadgets", "--m", "4", "--phi", "1"], "triangle margin sum 0 is not positive"),
+    (["reduce", "--in", "{tmp}/missing.fas"], "No such file or directory"),
+    (["reduce", "--in", "{tmp}/bad.fas"], "bad line 4 in instance file: '0 1'"),
+], ids=["gadget-uniform-phi", "verify-uniform-phi", "reduce-missing-file", "reduce-bad-line"])
+def test_cli_errors_are_one_line(argv, message, tmp_path, capsys):
+    from votelab.cli import main
+
+    (tmp_path / "bad.fas").write_text("kind=eulerian\nt=1\nm=3\n0 1\n")
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"votelab {argv[0]}: error: ")
+    assert message in lines[0]
+    assert captured.out == ""
+
+
+def test_cli_verify_failed_identity_exits_1(monkeypatch, capsys):
+    from votelab import cli
+    from votelab.gadgets import CheckResult
+
+    monkeypatch.setattr(cli, "check_gadget_identities",
+                        lambda m, theta: [CheckResult("edge-gadget-sum", False, "")])
+    assert cli.main(["verify", "gadgets", "--m", "4"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["all_passed"] is False
+    assert "FAIL edge-gadget-sum" in captured.err
 
 
 def test_cli_experiment(tmp_path):

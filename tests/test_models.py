@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from votelab.core import Permutation, Profile, Ranking, all_rankings, kt_distance, permute
+from votelab.core import Permutation, Profile, Ranking, Tally, all_rankings, kt_distance, permute
 from votelab.formats import format_parameter_profile, parse_parameter_profile
 from votelab.models import (
     MallowsParam,
@@ -31,6 +31,7 @@ from votelab.models import (
     pl_sample,
     sample_mallows_around,
     sample_profile,
+    sample_tally,
 )
 
 HALF = Fraction(1, 2)
@@ -397,8 +398,9 @@ def test_sample_profile_counts_and_determinism():
 def test_sample_profile_rejects_fractional():
     p = MallowsParam(ladder(3), 0.5)
     pp = ParameterProfile.from_entries(3, [(p, Fraction(1, 2))])
-    with pytest.raises(ValueError):
-        sample_profile(pp, np.random.default_rng(0))
+    for sample in (sample_profile, sample_tally):
+        with pytest.raises(ValueError):
+            sample(pp, np.random.default_rng(0))
 
 
 def test_sample_profile_large_m_path():
@@ -407,6 +409,32 @@ def test_sample_profile_large_m_path():
     pp = ParameterProfile.from_entries(8, [(p, 5)])
     prof = sample_profile(pp, np.random.default_rng(0))
     assert int(prof.n) == 5 and prof.m == 8
+
+
+@pytest.mark.parametrize("m", [3, 6, 7, 8])
+@pytest.mark.parametrize("family", ["mallows", "pl", "empty"])
+def test_sample_tally_is_the_tally_of_sample_profile(m, family):
+    # light and heavy types (weights on both sides of m! at m = 3), two
+    # dispersions; both generators start from the same seed
+    rng = np.random.default_rng(m)
+    weights = (2, 5, 9, 40)
+    if family == "mallows":
+        entries = [(MallowsParam(Ranking(tuple(rng.permutation(m).tolist())), phi), w)
+                   for w, phi in zip(weights, (0.3, HALF, 0.3, HALF))]
+    elif family == "pl":
+        entries = [(PlackettLuceParam.from_utilities((rng.random(m) + 0.1).tolist()), w)
+                   for w in weights]
+    else:
+        entries = []
+    pp = ParameterProfile.from_entries(m, entries)
+    rng_tally, rng_profile = np.random.default_rng(17), np.random.default_rng(17)
+    got = sample_tally(pp, rng_tally)
+    want = Tally.of(sample_profile(pp, rng_profile))
+    assert (got.m, got.n, type(got.n), got.vote) == (want.m, want.n, type(want.n), want.vote)
+    for a, b in ((got.matrix, want.matrix), (got.position_sums, want.position_sums)):
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+    assert got.n == sum(w for _, w in entries)
+    assert rng_tally.bit_generator.state == rng_profile.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

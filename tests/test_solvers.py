@@ -10,6 +10,7 @@ from votelab.core import (
     Permutation,
     Profile,
     Ranking,
+    Tally,
     all_rankings,
     kemeny_score,
     permute,
@@ -17,7 +18,7 @@ from votelab.core import (
     umg,
 )
 from votelab import solvers
-from votelab.models import MallowsParam, ParameterProfile, sample_profile
+from votelab.models import MallowsParam, ParameterProfile, _counts_tally, sample_profile, sample_tally
 from votelab.solvers import (
     SolveResult,
     TimedOut,
@@ -32,11 +33,24 @@ R123 = Ranking((0, 1, 2))
 CYCLIC3 = Profile.from_rankings([(0, 1, 2), (1, 2, 0), (2, 0, 1)])
 
 
-def random_mallows_profile(m, n, phi, seed):
+def random_mallows_profile(m, n, phi, seed, draw=sample_profile):
     rng = np.random.default_rng(seed)
     central = Ranking(tuple(rng.permutation(m).tolist()))
     pp = ParameterProfile.from_entries(m, [(MallowsParam(central, phi), n)])
-    return sample_profile(pp, rng)
+    return draw(pp, rng)
+
+
+def same_result(a, b):
+    """Results equal in every deterministic field, score types included."""
+    return (a.ranking, a.score, type(a.score), a.op_count, a.solver, a.diagnostics) == (
+        b.ranking, b.score, type(b.score), b.op_count, b.solver, b.diagnostics)
+
+
+def solve_both_ways(solver, prof):
+    """``solver(prof)``, checked identical to the solve of the profile's tally."""
+    res = solver(prof)
+    assert same_result(res, solver(Tally.of(prof)))
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +106,7 @@ def test_brute_matches_exhaustive_oracle():
         cases.append(random_profile(rng, m, 4))
         cases.append(random_profile(rng, m, 3, random_fraction_weights(rng, 3)))
     for prof in cases:
-        res = kemeny_brute(prof)
+        res = solve_both_ways(kemeny_brute, prof)
         # all_rankings is lexicographic, so min() picks the lexicographically first optimum
         best = min(all_rankings(prof.m), key=lambda r: kemeny_score(r, prof))
         assert res.ranking == best
@@ -101,10 +115,10 @@ def test_brute_matches_exhaustive_oracle():
 
 def test_brute_m_cap(monkeypatch):
     # past DP_STATE_CAP the full lattice is refused before the tally is built
-    def no_tally(profile):
+    def no_tally(election):
         raise AssertionError("tally built for an over-cap m")
 
-    monkeypatch.setattr(solvers, "pairwise_tally", no_tally)
+    monkeypatch.setattr(Tally, "of", staticmethod(no_tally))
     with pytest.raises(ValueError):
         kemeny_brute(Profile.empty(21))
     with pytest.raises(ValueError):
@@ -163,8 +177,14 @@ def test_dp_exhaustive_multisets_m3():
     cases += list(itertools.combinations_with_replacement(rankings, 2))
     for votes in cases:
         prof = Profile.from_rankings(votes, m=3)
+        # the same election as counts over the six rankings
+        counts = np.bincount([rankings.index(v) for v in votes], minlength=6)
+        tally = _counts_tally(3, counts.astype(np.int64))
         rb = kemeny_brute(prof)
         rd = kemeny_dp(prof)
+        assert same_result(rb, kemeny_brute(tally))
+        assert same_result(rd, kemeny_dp(tally))
+        assert same_result(slater_brute(prof), slater_brute(tally))
         assert rd.score == rb.score
         assert rd.ranking == rb.ranking  # identical tie-breaking
 
@@ -175,9 +195,14 @@ def test_dp_matches_brute_on_random_mallows(phi):
     for trial in range(67):
         m = int(rng.integers(3, 7))
         n = int(rng.integers(2, 9))
-        prof = random_mallows_profile(m, n, phi, int(rng.integers(1 << 30)))
+        seed = int(rng.integers(1 << 30))
+        prof = random_mallows_profile(m, n, phi, seed)
+        # the same election, drawn as a tally from the same stream
+        tally = random_mallows_profile(m, n, phi, seed, draw=sample_tally)
         rb = kemeny_brute(prof)
         rd = kemeny_dp(prof)
+        assert same_result(rb, kemeny_brute(tally))
+        assert same_result(rd, kemeny_dp(tally))
         assert rd.score == rb.score, (m, n, phi, trial)
         assert rd.ranking == rb.ranking
 
@@ -258,8 +283,11 @@ def test_slater_matches_exhaustive_oracle():
     for m in (6, 7):
         cases.append(random_mallows_profile(m, 5, 0.8, int(rng.integers(1 << 30))))
         cases.append(random_profile(rng, m, 4, random_fraction_weights(rng, 4)))
+    # even electorates, whose tied pairs are no majority edge either way
+    cases.append(Profile.from_rankings([(0, 1, 2), (2, 1, 0)]))
+    cases += [random_profile(rng, 4, 2) for _ in range(5)]
     for prof in cases:
-        res = slater_brute(prof)
+        res = solve_both_ways(slater_brute, prof)
         # all_rankings is lexicographic, so min() picks the lexicographically first optimum
         best = min(all_rankings(prof.m), key=lambda r: slater_score(r, prof))
         assert res.ranking == best
