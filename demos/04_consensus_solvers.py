@@ -42,11 +42,14 @@ for phi in (0.1, 0.5, 0.9):
     print(f"phi={phi}: d={res.diagnostics.d}, states={res.diagnostics.max_states},"
           f" ops={res.op_count} (envelope {env:.0f}), scores agree: {res.score == check.score}")
 
-# Budgeted execution: a generous budget returns the result, a starved one
-# reports a timeout instead of blocking.
-fast = solve_with_budget(kemeny_brute, cyclic, budget=10.0)
-print("\ngenerous budget returns:", fast.ranking, fast.score)
+# Budgeted execution counts ops, not seconds: a budget of the solve's own
+# op count returns the result, one op less reports a timeout, and a
+# starved solve is abandoned at the engine's next poll instead of blocking.
+fast = solve_with_budget(kemeny_brute, cyclic, budget=rb.op_count)
+print(f"\nbudget of {rb.op_count} ops returns:", fast.ranking, fast.score)
+print(f"budget of {rb.op_count - 1} ops:",
+      type(solve_with_budget(kemeny_brute, cyclic, budget=rb.op_count - 1)).__name__)
 big = Profile.from_rankings([tuple(range(9))])
-starved = solve_with_budget(kemeny_brute, big, budget=1e-4)
-print("starved budget on m=9 full lattice:", type(starved).__name__,
+starved = solve_with_budget(kemeny_brute, big, budget=100)
+print("budget of 100 ops on the m=9 full lattice:", type(starved).__name__,
       isinstance(starved, TimedOut))

@@ -436,9 +436,6 @@ class Digraph:
     def from_edges(m: int, edges: Iterable[tuple[int, int]]) -> "Digraph":
         return Digraph(m, frozenset((a, b) for a, b in edges))
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return (a, b) in self.edges
-
     def out_degree(self, a: int) -> int:
         return sum(1 for (x, _) in self.edges if x == a)
 

@@ -501,41 +501,33 @@ def full_scale_exponent(k: int) -> int:
     return 11 + 2 * k
 
 
+#: pilot solves whose median op count estimates an instance's solve cost
+PILOT_SOLVES = 5
+
+#: a trial's solve budget, in multiples of that median
+BUDGET_MULTIPLIER = 3
+
+
 @dataclass(frozen=True)
 class ReductionConfig:
-    """Knobs for one reduction run.
+    """Settings of one reduction run.
 
     K scales the sampled electorate to m^K voters (before rounding loss);
     ``full_scale_exponent`` gives the asymptotically sufficient choice,
-    desk-scale runs pick K so m^K stays under ``max_n``.  The solver runs
-    under ``budget_multiplier`` times a pilot-estimated expected runtime,
-    floored at ``min_budget`` seconds so that desk-scale solves are not
-    killed by scheduler noise.  The expected runtime belongs to the
-    instance's election distribution, so the median of ``pilot_solves``
-    pilot solves is taken once per instance, on a fixed RNG stream of its
-    own, and reused by every trial.
+    desk-scale runs pick K so m^K stays under ``max_n``.  ``solver`` names
+    the Kemeny solver of the Eulerian route (tournaments always use
+    ``slater_brute``), and the gadgets are built from the Mallows witness
+    at dispersion ``phi``.
     """
 
     K: int
-    budget_multiplier: float = 3.0
     solver: str = "dp"
-    family: str = "mallows"
     phi: float = 0.5
-    theta_lo: float = 0.1
-    theta_hi: float = 0.2
     max_n: int = 1_000_000
-    pilot_solves: int = 5
-    min_budget: float = 0.25
 
     def __post_init__(self):
         if self.K < 1:
             raise ValueError("K must be >= 1")
-        if self.budget_multiplier <= 0:
-            raise ValueError("budget_multiplier must be positive")
-        if self.pilot_solves < 1:
-            raise ValueError("pilot_solves must be >= 1")
-        if not self.min_budget >= 0:  # also rejects NaN
-            raise ValueError("min_budget must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -549,13 +541,13 @@ class ReductionOutcome:
     solver: str
     elapsed: float
     op_count: int
-    budget: float
-    pilot: float  # median pilot solve time of the instance, in seconds
+    budget: int  # solve budget of the instance, in ops
+    pilot: int  # median pilot op count of the instance
 
 
 def build_instance_profile(inst: FasInstance, cfg: ReductionConfig) -> ParameterProfile:
     """Gadget profile for an instance, before rounding."""
-    theta_3c = _witness_param(cfg.family, inst.graph.m, cfg.phi, cfg.theta_lo, cfg.theta_hi)
+    theta_3c = mallows_witness(inst.graph.m, cfg.phi)
     if inst.kind == "eulerian":
         return build_eulerian_profile(inst.graph, theta_3c)
     theta_co = theta_3c
@@ -572,22 +564,22 @@ def _solver_for(kind: str, cfg: ReductionConfig):
 @lru_cache(maxsize=1)
 def _instance_plan(
     pp: ParameterProfile, kind: str, cfg: ReductionConfig
-) -> tuple[ParameterProfile, float, float]:
-    """The rounded profile, the median pilot time and the solve budget
-    shared by an instance's trials.
+) -> tuple[ParameterProfile, int, int]:
+    """The rounded profile, the median pilot op count and the solve budget
+    in ops shared by an instance's trials.
 
-    The pilots draw from their own fixed stream, so a trial's outcome
-    depends only on (instance, cfg, trial rng).  ParameterProfile is
-    immutable and hashes by identity, so trials on one prebuilt profile
-    round it and run the pilots once.
+    The pilots draw from their own fixed stream and are measured in ops,
+    so a trial's outcome depends only on (instance, cfg, trial rng).
+    ParameterProfile is immutable and hashes by identity, so trials on one
+    prebuilt profile round it and run the pilots once.
     """
     ppi = round_to_integral(pp, cfg.K, cfg.max_n)
     solver, _ = _solver_for(kind, cfg)
     pilot_rng = np.random.default_rng(0)
-    pilot = statistics.median(
-        solver(sample_tally(ppi, pilot_rng)).elapsed for _ in range(cfg.pilot_solves)
+    pilot = statistics.median_low(
+        solver(sample_tally(ppi, pilot_rng)).op_count for _ in range(PILOT_SOLVES)
     )
-    return ppi, pilot, max(cfg.budget_multiplier * pilot, cfg.min_budget)
+    return ppi, pilot, BUDGET_MULTIPLIER * pilot
 
 
 def run_reduction(
@@ -600,10 +592,13 @@ def run_reduction(
 
     Builds the gadget profile, rounds it to m^K voters, samples the tally
     of one election from ``rng``, solves Kemeny (Eulerian kind) or Slater
-    (tournament kind) under the pilot-estimated budget, and answers YES
-    only when the returned ranking breaks at most t edges of the instance
-    graph.  The answer check is against the instance graph itself, so a
-    NO instance can never be certified YES.
+    (tournament kind) under a budget of ``BUDGET_MULTIPLIER`` times the
+    median op count of ``PILOT_SOLVES`` pilot solves, and answers YES only
+    when the solve finishes within that budget and its ranking breaks at
+    most t edges of the instance graph.  The answer check is against the
+    instance graph itself, so a NO instance can never be certified YES.
+    The budget counts ops, not seconds, so the answer depends only on
+    (instance, cfg, rng), never on machine load.
 
     ``prebuilt`` lets callers reuse the (deterministic) gadget profile
     across repeated trials; the rounding and the pilot solves that set the
@@ -613,7 +608,7 @@ def run_reduction(
     g = inst.graph
     if not g.edges:
         # empty graph is acyclic; every ranking certifies t >= 0
-        return ReductionOutcome("YES", True, 0, 0, cfg.solver, 0.0, 0, 0.0, 0.0)
+        return ReductionOutcome("YES", True, 0, 0, cfg.solver, 0.0, 0, 0, 0)
     pp = prebuilt if prebuilt is not None else build_instance_profile(inst, cfg)
     ppi, pilot, budget = _instance_plan(pp, inst.kind, cfg)
     solver, solver_name = _solver_for(inst.kind, cfg)

@@ -32,7 +32,7 @@ from .models import (
     mallows_parameter_profile,
     mean_expected_kt_bound,
     sample_mallows_around,
-    sample_profile,
+    sample_tally,
 )
 from .solvers import get_solver, kemeny_dp
 
@@ -222,6 +222,7 @@ def smoothed_runtime_estimate(
 ) -> tuple[SmoothedRunStats, list[dict]]:
     """Monte Carlo estimate of expected solver cost per adversary.
 
+    Each trial solves the tally of one election drawn by ``sample_tally``.
     Returns the stats and the per-trial JSON rows.  op_count is the
     asserted runtime measure; wall-clock is recorded but informational.
     """
@@ -232,8 +233,7 @@ def smoothed_runtime_estimate(
         ops, elapsed, dvals = [], [], []
         for trial in range(cfg.trials):
             rng = trial_rng(cfg.seed, aid, trial)
-            prof = sample_profile(adversary, rng)
-            res = solver(prof)
+            res = solver(sample_tally(adversary, rng))
             d = res.diagnostics.d if res.diagnostics else -1
             ops.append(res.op_count)
             elapsed.append(res.elapsed)
@@ -516,9 +516,10 @@ def reduction_trials(
     The summary's answer amplifies the one-sided error: YES errors are
     impossible (the certificate is checked against the instance graph), so
     any YES trial certifies a YES answer.  Each row carries the trial's
-    solve budget as ``budget_ms`` and the median pilot solve time it was
-    estimated from as ``pilot_ms``; both belong to the instance, so they
-    are the same in every row.
+    solve budget in ops as ``budget_ops`` and the median pilot op count it
+    was set from as ``pilot_ops``; both belong to the instance, so they are
+    the same in every row.  ``elapsed_ms`` is informational: no answer
+    depends on it.
     """
     pp = build_instance_profile(inst, rcfg)
     rows = []
@@ -538,8 +539,8 @@ def reduction_trials(
                 "op_count": out.op_count,
                 "answer": out.answer,
                 "back_edges": out.back_edges,
-                "budget_ms": out.budget * 1000.0,
-                "pilot_ms": out.pilot * 1000.0,
+                "budget_ops": out.budget,
+                "pilot_ops": out.pilot,
             }
         )
     summary = {

@@ -50,7 +50,6 @@ __all__ = [
     "pl_pairwise",
     "pl_sample",
     "param_pmf",
-    "param_sample",
     "expected_wmg",
     "expected_kt",
     "expected_kt_bound",
@@ -79,23 +78,14 @@ class MallowsParam:
     """Central ranking plus dispersion phi in (0, 1].
 
     phi -> 0 concentrates on the central ranking, phi = 1 is uniform.
-    Optional ``phi_bounds`` declare a bounded sub-model and are enforced
-    at construction.
     """
 
     central: Ranking
     phi: Union[float, Fraction]
-    phi_bounds: tuple[Union[float, Fraction], Union[float, Fraction]] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "central", as_ranking(self.central))
         object.__setattr__(self, "phi", _checked_phi(self.phi))
-        if self.phi_bounds is not None:
-            lo, hi = self.phi_bounds
-            if not (0 < lo <= hi <= 1):
-                raise ValueError("bad phi bounds")
-            if not lo <= self.phi <= hi:
-                raise ValueError(f"phi {self.phi} outside declared bounds [{lo}, {hi}]")
 
     @property
     def m(self) -> int:
@@ -111,7 +101,6 @@ class PlackettLuceParam:
     """
 
     theta: tuple[Union[float, Fraction], ...]
-    theta_bounds: tuple[Union[float, Fraction], Union[float, Fraction]] | None = None
 
     def __post_init__(self):
         theta = tuple(self.theta)
@@ -124,10 +113,6 @@ class PlackettLuceParam:
                 raise ValueError("theta must sum to 1")
         elif abs(total - 1.0) > 1e-12:
             raise ValueError(f"theta must sum to 1, got {total}")
-        if self.theta_bounds is not None:
-            lo, hi = self.theta_bounds
-            if any(not lo <= t <= hi for t in theta):
-                raise ValueError("theta outside declared bounds")
 
     @staticmethod
     def from_utilities(values: Sequence[Union[float, Fraction]]) -> "PlackettLuceParam":
@@ -231,12 +216,12 @@ class ParameterProfile:
 def permute_param(sigma: Permutation, param: ModelParam) -> ModelParam:
     """Relabel a parameter so its distribution commutes with relabeled votes."""
     if isinstance(param, MallowsParam):
-        return MallowsParam(permute(sigma, param.central), param.phi, param.phi_bounds)
+        return MallowsParam(permute(sigma, param.central), param.phi)
     theta = list(param.theta)
     out = list(theta)
     for a in range(len(theta)):
         out[sigma.map[a]] = theta[a]
-    return PlackettLuceParam(tuple(out), param.theta_bounds)
+    return PlackettLuceParam(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +416,6 @@ def param_pmf(param: ModelParam, r: Ranking | Sequence[int]):
     if isinstance(param, MallowsParam):
         return mallows_pmf(param, r)
     return pl_pmf(param, r)
-
-
-def param_sample(param: ModelParam, rng: np.random.Generator) -> Ranking:
-    if isinstance(param, MallowsParam):
-        return mallows_sample(param, rng)
-    return pl_sample(param, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,12 @@ window against the full lattice and both against an enumeration oracle.
 2^m above it before doing any work, and a windowed solve raises once its
 stored states pass it.
 
-Deadline handling is cooperative: the engine polls a monotonic deadline
-every fixed number of transitions and abandons the solve by raising
-internally; ``solve_with_budget`` converts that into a ``TimedOut`` value.
+Budgets count operations, not seconds, so whether a budgeted solve
+finishes depends only on its input.  Every solver takes an ``op_cap``; the
+engine compares the work done so far with it every fixed number of
+transitions and abandons the solve by raising internally once it is
+passed.  ``solve_with_budget`` turns that into a ``TimedOut`` value, and
+returns a result only when its ``op_count`` is within the budget.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ __all__ = [
     "DpDiagnostics",
     "SolveResult",
     "TimedOut",
-    "DeadlineExceeded",
     "kemeny_brute",
     "kemeny_dp",
     "slater_brute",
@@ -70,15 +72,15 @@ __all__ = [
     "result_record",
 ]
 
-#: iterations between deadline polls
+#: transitions between op-cap polls
 _POLL_EVERY = 1024
 
 #: cap on stored placed-set states; the full lattice fits up to m = 20
 DP_STATE_CAP = 2_000_000
 
 
-class DeadlineExceeded(Exception):
-    """Raised inside solver loops when the cooperative deadline passes."""
+class _OverOpCap(Exception):
+    """Raised inside the engine once its work passes the op cap."""
 
 
 @dataclass(frozen=True)
@@ -102,15 +104,9 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class TimedOut:
-    """Budgeted solve that did not finish."""
+    """Budgeted solve that did not finish within its budget of ops."""
 
-    elapsed: float
-    budget: float
-
-
-def _check_deadline(deadline: Optional[float]) -> None:
-    if deadline is not None and time.perf_counter() > deadline:
-        raise DeadlineExceeded
+    budget: int
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +118,7 @@ def _order_dp(
     cost: Sequence[Sequence[Weight]],
     allowed: Sequence[Sequence[int]],
     req_mask: Sequence[int],
-    deadline: Optional[float],
+    op_cap: Optional[int],
 ) -> tuple[list[int], Weight, int, int]:
     """Order minimizing the sum of cost[u][c] over u placed after c.
 
@@ -134,8 +130,14 @@ def _order_dp(
     cost[u][c] over the unplaced u.  Returns the lexicographically
     smallest optimal order, its score, the op count (cost terms read plus
     one per transition evaluated) and the placed sets stored.  Raises ``ValueError`` once
-    the stored sets pass ``DP_STATE_CAP``.
+    the stored sets pass ``DP_STATE_CAP``, and ``_OverOpCap`` at the first
+    poll (every ``_POLL_EVERY`` transitions) that finds the work done over
+    ``op_cap``: the transitions so far in the forward pass, ``ops`` in the
+    backward pass.  A forward transition into a completable placed set is
+    evaluated again backward for at least one op, so on the full lattice
+    the forward count never exceeds the final op count.
     """
+    cap = float("inf") if op_cap is None else op_cap
     m = len(cost)
     colsum = [sum(col) for col in zip(*cost)]
     full = (1 << m) - 1
@@ -145,7 +147,7 @@ def _order_dp(
     layers: list[set[int]] = [set() for _ in range(m + 1)]
     layers[0].add(0)
     stored = 1
-    poll = 0
+    transitions = 0
     for i in range(1, m + 1):
         prev, cur = layers[i - 1], layers[i]
         for mask in prev:
@@ -159,10 +161,9 @@ def _order_dp(
                 if new_mask not in cur:
                     cur.add(new_mask)
                     stored += 1
-                poll += 1
-                if poll >= _POLL_EVERY:
-                    poll = 0
-                    _check_deadline(deadline)
+                transitions += 1
+                if transitions % _POLL_EVERY == 0 and transitions > cap:
+                    raise _OverOpCap
         if stored > DP_STATE_CAP:
             raise ValueError(f"placed-set DP stored {stored} states, over the cap {DP_STATE_CAP}")
     if not layers[m]:
@@ -199,10 +200,9 @@ def _order_dp(
                 total = append_cost(mask, c) + nxt
                 if best is None or total < best:
                     best = total
-                poll += 1
-                if poll >= _POLL_EVERY:
-                    poll = 0
-                    _check_deadline(deadline)
+                transitions += 1
+                if transitions % _POLL_EVERY == 0 and ops > cap:
+                    raise _OverOpCap
             if best is not None:
                 h_cur[mask] = best
 
@@ -229,7 +229,7 @@ def _order_dp(
 
 
 def _full_lattice(
-    m: int, cost_of: Callable[[], list], deadline: Optional[float]
+    m: int, cost_of: Callable[[], list], op_cap: Optional[int]
 ) -> tuple[list[int], Weight, int, int]:
     """``_order_dp`` with every candidate open at every position.
 
@@ -239,7 +239,7 @@ def _full_lattice(
     if 1 << m > DP_STATE_CAP:
         raise ValueError(f"m={m}: 2^{m} placed sets exceed the state cap {DP_STATE_CAP}")
     everyone = range(m)
-    return _order_dp(cost_of(), [everyone] * (m + 1), [0] * (m + 2), deadline)
+    return _order_dp(cost_of(), [everyone] * (m + 1), [0] * (m + 2), op_cap)
 
 
 def _adjacency(g: Digraph) -> list[list[int]]:
@@ -247,7 +247,7 @@ def _adjacency(g: Digraph) -> list[list[int]]:
     return [[int((u, c) in g.edges) for c in range(g.m)] for u in range(g.m)]
 
 
-def kemeny_brute(election: Profile | Tally, deadline: Optional[float] = None) -> SolveResult:
+def kemeny_brute(election: Profile | Tally, op_cap: Optional[int] = None) -> SolveResult:
     """Exact Kemeny optimum over the full lattice of placed sets.
 
     Works for any weights (ints, Fractions or floats).  Ties go to the
@@ -257,12 +257,12 @@ def kemeny_brute(election: Profile | Tally, deadline: Optional[float] = None) ->
     """
     start = time.perf_counter()
     order, score, ops, _ = _full_lattice(
-        election.m, lambda: Tally.of(election).matrix.tolist(), deadline
+        election.m, lambda: Tally.of(election).matrix.tolist(), op_cap
     )
     return SolveResult(Ranking(tuple(order)), score, time.perf_counter() - start, ops, "brute")
 
 
-def slater_brute(election: Profile | Tally, deadline: Optional[float] = None) -> SolveResult:
+def slater_brute(election: Profile | Tally, op_cap: Optional[int] = None) -> SolveResult:
     """Minimize back-edges against the unweighted majority graph.
 
     Depends on the election only through its majority-graph signs, so
@@ -274,30 +274,23 @@ def slater_brute(election: Profile | Tally, deadline: Optional[float] = None) ->
         n_tally = Tally.of(election).matrix
         return (n_tally > n_tally.T).astype(np.int64).tolist()
 
-    order, score, ops, _ = _full_lattice(election.m, majority_adjacency, deadline)
+    order, score, ops, _ = _full_lattice(election.m, majority_adjacency, op_cap)
     return SolveResult(Ranking(tuple(order)), score, time.perf_counter() - start, ops,
                        "slater-brute")
 
 
-def kemeny_dp(
-    election: Profile | Tally,
-    window_slack: float = 1.0,
-    deadline: Optional[float] = None,
-) -> SolveResult:
+def kemeny_dp(election: Profile | Tally, op_cap: Optional[int] = None) -> SolveResult:
     """Exact Kemeny optimum via the average-distance position window.
 
     A position may only host candidates whose average vote position is
-    within the window radius (the distance parameter d times
-    ``window_slack``); the placed-set engine runs on the tally inside that
-    window.  Raises ``ValueError`` if the stored states pass
-    ``DP_STATE_CAP``.
+    within the distance parameter d of it; the placed-set engine runs on
+    the tally inside that window.  Raises ``ValueError`` if the stored
+    states pass ``DP_STATE_CAP``.
     """
     start = time.perf_counter()
     tally = Tally.of(election)
     if not tally.is_integral:
         raise ValueError("the dynamic program requires an integral profile")
-    if window_slack < 1.0:
-        raise ValueError("window_slack below 1 would break exactness")
     m = tally.m
     n = tally.n
     if n == 0:
@@ -311,8 +304,6 @@ def kemeny_dp(
     if d == 0:
         return SolveResult(tally.vote, 0, time.perf_counter() - start, 0, "dp",
                            DpDiagnostics(0, 0, 1))
-    radius = int(np.ceil(window_slack * d))
-
     # average positions, kept exact: pbar_num[c] = n * (1-based average position)
     pbar_num = tally.position_sums + n
 
@@ -321,7 +312,7 @@ def kemeny_dp(
     latest = [0] * m
     for c in range(m):
         for i in range(1, m + 1):
-            if abs(pbar_num[c] - i * n) <= radius * n:
+            if abs(pbar_num[c] - i * n) <= d * n:
                 allowed[i].append(c)
                 latest[c] = i
     # candidates that must be placed by position i (inclusive)
@@ -332,7 +323,7 @@ def kemeny_dp(
             if latest[c] == i:
                 req_mask[i] |= 1 << c
 
-    order, score, ops, stored = _order_dp(n_tally.tolist(), allowed, req_mask, deadline)
+    order, score, ops, stored = _order_dp(n_tally.tolist(), allowed, req_mask, op_cap)
     ranking = Ranking(tuple(order))
     # loud self-check: the DP score must match a direct re-evaluation
     reeval = _tally_score(ranking, n_tally)
@@ -346,7 +337,7 @@ def kemeny_dp(
         elapsed=time.perf_counter() - start,
         op_count=ops,
         solver="dp",
-        diagnostics=DpDiagnostics(d, radius, stored),
+        diagnostics=DpDiagnostics(d, d, stored),
     )
 
 
@@ -356,22 +347,22 @@ def kemeny_dp(
 
 
 def solve_with_budget(
-    solver: Callable[..., SolveResult], election: Profile | Tally, budget: float
+    solver: Callable[..., SolveResult], election: Profile | Tally, budget: int
 ) -> SolveResult | TimedOut:
-    """Run a solver under a wall-clock budget in seconds.
+    """Run a solver under a budget of ``budget`` ops.
 
-    Returns the solver's result if it finishes in time, otherwise a
-    ``TimedOut`` value.  Cancellation is cooperative (the solver polls the
-    deadline), so overshoot is bounded by one polling interval.
+    Returns the solver's result only when its ``op_count`` is at most the
+    budget, and a ``TimedOut`` value otherwise, so the outcome depends on
+    the election alone.  The solver polls its op cap, so an abandoned solve
+    runs at most one polling interval past the budget.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    start = time.perf_counter()
-    deadline = start + budget
+    if not isinstance(budget, int) or budget < 0:
+        raise ValueError(f"budget must be a nonnegative int count of ops, not {budget!r}")
     try:
-        return solver(election, deadline=deadline)
-    except DeadlineExceeded:
-        return TimedOut(elapsed=time.perf_counter() - start, budget=budget)
+        res = solver(election, op_cap=budget)
+    except _OverOpCap:
+        return TimedOut(budget)
+    return res if res.op_count <= budget else TimedOut(budget)
 
 
 _SOLVERS: dict[str, Callable[..., SolveResult]] = {

@@ -1,15 +1,18 @@
 """Harness: config parsing, bound checks, persistence, reproducibility, CLI."""
 
+import itertools
 import json
 import math
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from votelab import gadgets, solvers
 from votelab.core import Digraph, Profile
 from votelab.formats import format_fas
 from votelab.gadgets import FasInstance, ReductionConfig
@@ -271,14 +274,34 @@ def test_reduction_trials_summary_and_log_shape():
     assert len(rows) == 5
     assert set(rows[0]) == {
         "seed", "K", "n", "solver", "finished", "elapsed_ms", "op_count",
-        "answer", "back_edges", "budget_ms", "pilot_ms",
+        "answer", "back_edges", "budget_ops", "pilot_ops",
     }
-    # the budget and the pilot time it comes from belong to the instance
-    assert len({(r["budget_ms"], r["pilot_ms"]) for r in rows}) == 1
-    cfg = ReductionConfig(K=6)
-    assert rows[0]["budget_ms"] == pytest.approx(
-        max(cfg.budget_multiplier * rows[0]["pilot_ms"], cfg.min_budget * 1000.0))
-    assert rows[0]["pilot_ms"] > 0
+    # the budget and the pilot op count it comes from belong to the instance
+    assert len({(r["budget_ops"], r["pilot_ops"]) for r in rows}) == 1
+    assert rows[0]["pilot_ops"] > 0
+    assert rows[0]["budget_ops"] == gadgets.BUDGET_MULTIPLIER * rows[0]["pilot_ops"]
+    assert all(r["op_count"] <= r["budget_ops"] for r in rows)
+
+
+@pytest.mark.parametrize("inst", [
+    FasInstance(Digraph.from_edges(4, [(0, 1), (1, 2), (2, 0)]), 1, "eulerian"),
+    FasInstance(Digraph.from_edges(3, [(0, 1), (1, 2), (2, 0)]), 1, "tournament"),
+])
+def test_reduction_rows_do_not_depend_on_the_clock(monkeypatch, inst):
+    # budgets count ops, so a clock that jumps 10 s per reading changes only
+    # the informational elapsed_ms of each row
+    def rows_without_elapsed():
+        _, rows = reduction_trials(inst, ReductionConfig(K=5), trials=4, master_seed=4)
+        return [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in rows]
+
+    calm = rows_without_elapsed()
+    readings = itertools.count(step=10.0)
+    jumpy = SimpleNamespace(perf_counter=lambda: next(readings))
+    monkeypatch.setattr(solvers, "time", jumpy)
+    monkeypatch.setattr(gadgets, "time", jumpy)
+    assert rows_without_elapsed() == calm
+    assert next(readings) > 0  # the patched clock was read
+    assert all(r["finished"] for r in calm)
 
 
 def test_reduction_trials_build_sampling_arrays_once_and_no_profile(monkeypatch):
@@ -301,14 +324,10 @@ def test_reduction_trials_build_sampling_arrays_once_and_no_profile(monkeypatch)
     models._profile_sampler.cache_clear()
     monkeypatch.setattr(core.Profile, "__post_init__", counting)
     monkeypatch.setattr(models, "_tallied_profile", no_profile)
-    # no budget floor, so the budget is the multiple of the pilot time it reports
-    cfg = ReductionConfig(K=5, budget_multiplier=1000.0, min_budget=0.0)
-    summary, rows = reduction_trials(inst, cfg, trials=5, master_seed=2)
+    summary, rows = reduction_trials(inst, ReductionConfig(K=5), trials=5, master_seed=2)
     assert len(rows) == 5 and summary["yes_count"] >= 1
     assert models._profile_sampler.cache_info().misses == 1
     assert made == []
-    assert rows[0]["pilot_ms"] > 0
-    assert rows[0]["budget_ms"] == pytest.approx(1000.0 * rows[0]["pilot_ms"])
 
 
 # ---------------------------------------------------------------------------
