@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -74,6 +74,13 @@ def weight_array(weights: Sequence[Weight]) -> np.ndarray:
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+@lru_cache(maxsize=64)
+def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(m, k=1)``: the pairs a < b, row by row."""
+    iu, ju = np.triu_indices(m, k=1)
+    return _readonly(iu), _readonly(ju)
 
 
 @dataclass(frozen=True)
@@ -564,7 +571,7 @@ def kt_matrix(profile: Profile) -> np.ndarray:
     if k == 0:
         return np.zeros((0, 0), dtype=np.int64)
     pos = profile.positions.astype(np.int64)
-    iu, ju = np.triu_indices(profile.m, k=1)
+    iu, ju = _upper_pairs(profile.m)
     before = pos[:, iu] < pos[:, ju]  # (k, pairs)
     return (before[:, None, :] != before[None, :, :]).sum(axis=2).astype(np.int64)
 
@@ -675,7 +682,7 @@ def _kt_pair_total(tally: np.ndarray) -> int:
     Python integers, so the result is exact for any number of voters.
     Requires integral tally entries.
     """
-    iu, ju = np.triu_indices(tally.shape[0], k=1)
+    iu, ju = _upper_pairs(tally.shape[0])
     return sum(
         2 * int(ab) * int(ba)
         for ab, ba in zip(tally[iu, ju].tolist(), tally[ju, iu].tolist())

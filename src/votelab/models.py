@@ -31,6 +31,7 @@ from .core import (
     Tally,
     Weight,
     WeightedMajorityGraph,
+    _upper_pairs,
     all_rankings,
     as_ranking,
     kt_distance,
@@ -500,7 +501,7 @@ def _mallows_density(central: Sequence[int], phi) -> np.ndarray:
     m = len(central)
     # each ranking's positions read in central order; inversions = KT
     read = _rankings_table(m)[1][:, central]
-    iu, ju = np.triu_indices(m, k=1)
+    iu, ju = _upper_pairs(m)
     kts = (read[:, iu] > read[:, ju]).sum(axis=1)
     z = mallows_z(phi, m)
     by_kt = np.array([float(phi**k / z) for k in range(len(iu) + 1)], dtype=np.float64)
@@ -559,17 +560,21 @@ def _alias_table(m: int, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _alias_draw(
-    prob: np.ndarray, alias: np.ndarray, table: np.ndarray, u: np.ndarray
+    prob: np.ndarray, alias: np.ndarray, at: np.ndarray, u: np.ndarray, size: int
 ) -> np.ndarray:
-    """One draw per uniform from the stacked (G, m!) alias tables, voter i
-    from table ``table[i]``: the integer part of ``u * m!`` picks the column
-    and its fractional part is the coin."""
-    x = u * prob.shape[1]
-    col = np.minimum(x.astype(np.intp), prob.shape[1] - 1)
-    return np.where(x - col < prob[table, col], col, alias[table, col])
+    """One base-ranking index per uniform from flat alias tables of
+    ``size`` columns each, voter i from the table at offset ``at[i]`` of
+    ``prob`` and ``alias``: the integer part of ``u * size`` picks the
+    column and its fractional part is the coin.  A uniform below 1 keeps
+    the rounded product below ``size``, so every column is in range."""
+    x = u * size
+    col = x.astype(np.int32)
+    table = at + col
+    return np.where(x - col < prob[table], col, alias[table])
 
 
-#: voters per block of ``_mallows_sampler``; small blocks keep its temporaries in cache
+#: voters per block of ``_mallows_sampler`` and ``_positions_tally``; small
+#: blocks keep their temporaries in cache
 DRAW_BLOCK = 4096
 
 
@@ -606,16 +611,21 @@ def _mallows_sampler(
 ) -> Callable[[np.random.Generator], np.ndarray]:
     """A function of an RNG drawing the counts over ``all_rankings(m)`` of
     ``counts[t]`` Mallows votes around row ``centrals[t]`` at dispersion
-    ``phis[t]``, for m <= SAMPLE_ENUM_MAX_M.  The per-type arrays are built
-    here, once; each call only draws.
+    ``phis[t]``, for m <= SAMPLE_ENUM_MAX_M.
 
     Every draw is a base ranking from the density around the identity,
     relabeled into its type's central through ``_relabel_table``.  A light
     type (weight below m!) draws each voter from its dispersion's alias
-    table with one uniform, voter by voter in type order, in blocks of
-    DRAW_BLOCK voters that keep the temporaries small.  A heavy type then
+    table with one uniform, voter by voter in type order; a heavy type then
     draws one multinomial over the base density, type by type, since m!
     binomials cost less than that many alias draws.
+
+    The alias tables of all dispersions lie end to end in two flat arrays,
+    and the relabel table is read flat too, so each light voter needs just
+    two int32 offsets, built here once: its dispersion's table and its
+    type's relabel row.  A call then draws DRAW_BLOCK voters at a time: one
+    batch of uniforms, 1-D gathers through those offsets and one
+    ``bincount``, with temporaries the size of a block.
     """
     m = centrals.shape[1]
     size = factorial(m)
@@ -624,20 +634,24 @@ def _mallows_sampler(
     keys = [(type(p), p) for p in phis]
     group = {key: g for g, key in enumerate(dict.fromkeys(keys))}
     tables = [_alias_table(m, phi) for _, phi in group]
-    prob = np.array([t[1] for t in tables], dtype=np.float64).reshape(-1, size)
-    alias = np.array([t[2] for t in tables], dtype=np.int16).reshape(-1, size)
-    type_table = np.array([group[key] for key in keys], dtype=np.intp)
+    prob = np.array([t[1] for t in tables], dtype=np.float64).reshape(-1)
+    alias = np.array([t[2] for t in tables], dtype=np.int16).reshape(-1)
+    type_table = np.array([group[key] for key in keys], dtype=np.int32)
     light = np.flatnonzero(counts < size)
     voter = np.repeat(light.astype(np.int32), counts[light])
+    table_at = type_table[voter] * np.int32(size)
+    relabel_at = voter * np.int32(size)
+    flat_relabel = relabel.reshape(-1)
     heavy = [(t, int(counts[t]), tables[type_table[t]][0])
              for t in np.flatnonzero(counts >= size).tolist()]
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         tally = np.zeros(size, dtype=np.int64)
-        for lo in range(0, len(voter), DRAW_BLOCK):
-            types = voter[lo : lo + DRAW_BLOCK]
-            base = _alias_draw(prob, alias, type_table[types], rng.random(len(types)))
-            tally += np.bincount(relabel[types, base], minlength=size)
+        for lo in range(0, len(table_at), DRAW_BLOCK):
+            at = table_at[lo : lo + DRAW_BLOCK]
+            base = _alias_draw(prob, alias, at, rng.random(len(at)), size)
+            base += relabel_at[lo : lo + DRAW_BLOCK]
+            tally += np.bincount(flat_relabel[base], minlength=size)
         for t, count, pmf in heavy:
             tally[relabel[t]] += rng.multinomial(count, pmf)
         return tally
@@ -645,20 +659,22 @@ def _mallows_sampler(
     return draw
 
 
-def _mallows_votes(
+def _mallows_positions(
     centrals: np.ndarray, counts: np.ndarray, phis: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Repeated-insertion draws: ``counts[e]`` votes around central row
     ``centrals[e]`` at float dispersion ``phis[e]``, entry by entry.
 
-    Consumes the same uniforms in the same order as one ``mallows_sample``
-    call per unit of weight, entry by entry, and makes each insertion
-    choice with the same float arithmetic, so the rows equal those calls'
-    results.  All (W, m-1) uniforms are drawn at once.  Step i (i = 2..m)
-    inserts the i-th central alternative at the first index whose
-    cumulative weight exceeds u * total; the cumulative weights never
-    decrease, so a right-sided search finds that index.  The slots are
-    then decoded into positions in O(W m^2).
+    Returns ``(entry, pos)``: voter v is a draw of entry ``entry[v]``, and
+    ``pos[v, s]`` is the position of that central's s-th alternative in
+    its vote.  Consumes the same uniforms in the same order as one
+    ``mallows_sample`` call per unit of weight, entry by entry, and makes
+    each insertion choice with the same float arithmetic, so the votes
+    equal those calls' results.  All (W, m-1) uniforms are drawn at once.
+    Step i (i = 2..m) inserts the i-th central alternative at the first
+    index whose cumulative weight exceeds u * total; the cumulative weights
+    never decrease, so a right-sided search finds that index.  The slots
+    are then decoded into positions in O(W m^2).
     """
     m = centrals.shape[1]
     entry = np.repeat(np.arange(len(counts)), counts)
@@ -682,9 +698,55 @@ def _mallows_votes(
         slot = slots[:, s : s + 1]
         pos[:, :s] += pos[:, :s] >= slot
         pos[:, s] = slot[:, 0]
-    votes = np.empty((len(entry), m), dtype=np.int16)
+    return entry, pos
+
+
+def _positions_profile(centrals: np.ndarray, entry: np.ndarray, pos: np.ndarray) -> Profile:
+    """The aggregated profile of the votes in which voter v places
+    alternative ``centrals[entry[v], s]`` at position ``pos[v, s]``."""
+    votes = np.empty(pos.shape, dtype=np.int16)
     votes[np.arange(len(entry))[:, None], pos] = centrals[entry]
-    return votes
+    return Profile(pos.shape[1], votes, np.ones(len(votes), dtype=np.int64)).aggregated()
+
+
+def _positions_tally(centrals: np.ndarray, entry: np.ndarray, pos: np.ndarray) -> Tally:
+    """``Tally.of(_positions_profile(centrals, entry, pos))``, without the
+    profile: no vote rows, no sort.
+
+    The n voters' positions go, DRAW_BLOCK voters at a time, into an
+    alternative-major (m, n) array, whose row a holds every voter's
+    position of alternative a.  Comparing rows a < b over a block counts
+    the block's votes that rank a over b; N[b, a] is n minus N[a, b], and
+    the position sums are the row sums.  The lexicographically first vote
+    is found by filtering the voters position by position: its next
+    alternative is the smallest one that a voter still in the running
+    places there.
+    """
+    n, m = pos.shape
+    place = np.empty((m, n), dtype=np.int16)  # place[a, v]: position of a in vote v
+    flat = place.reshape(-1)
+    n_tally = np.zeros((m, m), dtype=np.int64)
+    for lo in range(0, n, DRAW_BLOCK):
+        hi = min(lo + DRAW_BLOCK, n)
+        alternatives = centrals[entry[lo:hi]].T.astype(np.intp)
+        flat[alternatives * n + np.arange(lo, hi)] = pos[lo:hi].T
+        block = place[:, lo:hi]
+        for a in range(m - 1):
+            n_tally[a, a + 1 :] += np.count_nonzero(block[a] < block[a + 1 :], axis=1)
+    iu, ju = _upper_pairs(m)
+    n_tally[ju, iu] = n - n_tally[iu, ju]
+    vote = None
+    if n:
+        voters, order = np.arange(n), []
+        for p in range(m):
+            for a in sorted(set(range(m)).difference(order)):
+                hit = place[a, voters] == p
+                if hit.any():
+                    break
+            voters = voters[hit]
+            order.append(a)
+        vote = Ranking(tuple(order))
+    return Tally(m, n, n_tally, place.sum(axis=1, dtype=np.int64), vote)
 
 
 def sample_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
@@ -694,36 +756,40 @@ def sample_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
 
     - Mallows, m <= SAMPLE_ENUM_MAX_M: ``_mallows_sampler`` counts the votes
       over the m! enumerated rankings.  A voter of a type lighter than m!
-      is one alias-table draw from the density around the identity; a
-      heavier type draws one multinomial over that density.  Either draw
-      is then relabeled into the type's central ranking.  The per-type
-      arrays are built once per profile (``_profile_sampler``).
+      is one alias-table draw from the density around the identity, in
+      blocks of flat gathers; a heavier type draws one multinomial over
+      that density.  Either draw is then relabeled into the type's central
+      ranking.  The per-voter offsets are built once per profile
+      (``_profile_sampler``).
     - Plackett-Luce, m <= SAMPLE_ENUM_MAX_M: one multinomial per entry over
       the entry's exact density.  Both are distributed identically to
       per-draw sampling and far faster at gadget scales.
-    - larger m: per-draw sampling.  A Mallows profile takes all its
-      uniforms in one batch and decodes the repeated insertions in numpy;
-      it reads the same uniforms in the same order as one
-      ``mallows_sample`` call per unit of weight and returns the same
-      votes.  Plackett-Luce draws one ``pl_sample`` at a time.
+    - larger m: per-draw sampling into positions (``_drawn_positions``).
+      A Mallows profile takes all its uniforms in one batch and decodes
+      the repeated insertions in numpy; it reads the same uniforms in the
+      same order as one ``mallows_sample`` call per unit of weight and
+      returns the same votes.  Plackett-Luce draws one ``pl_sample`` at a
+      time.
 
     Either way the result is aggregated, with rows in lexicographic order.
     The solvers read only its tally; ``sample_tally`` draws that directly.
     """
     if pp.m <= SAMPLE_ENUM_MAX_M:
         return _tallied_profile(pp.m, _enumerated_counts(pp, rng))
-    return _drawn_profile(pp, rng)
+    return _positions_profile(*_drawn_positions(pp, rng))
 
 
 def sample_tally(pp: ParameterProfile, rng: np.random.Generator) -> Tally:
-    """``Tally.of(sample_profile(pp, rng))``, from the same RNG draws.
+    """``Tally.of(sample_profile(pp, rng))``, from the same RNG draws,
+    without building a profile.
 
-    For m <= SAMPLE_ENUM_MAX_M the tally is read off the m! counts, so no
-    profile is built.
+    For m <= SAMPLE_ENUM_MAX_M the tally is read off the m! counts.  Above
+    it, the same per-draw positions as ``sample_profile`` are tallied
+    directly (``_positions_tally``), without vote rows or a sort.
     """
     if pp.m <= SAMPLE_ENUM_MAX_M:
         return _counts_tally(pp.m, _enumerated_counts(pp, rng))
-    return Tally.of(_drawn_profile(pp, rng))
+    return _positions_tally(*_drawn_positions(pp, rng))
 
 
 def _require_integral(pp: ParameterProfile) -> None:
@@ -759,17 +825,22 @@ def _profile_sampler(pp: ParameterProfile) -> Callable[[np.random.Generator], np
     return _mallows_sampler(*_mallows_arrays(pp))
 
 
-def _drawn_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
-    """Per-draw sampling, for m above SAMPLE_ENUM_MAX_M."""
+def _drawn_positions(
+    pp: ParameterProfile, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-draw sampling, for m above SAMPLE_ENUM_MAX_M, as the
+    ``(centrals, entry, pos)`` that ``_positions_profile`` and
+    ``_positions_tally`` read."""
     m = pp.m
     if pp.family == "pl":
         _require_integral(pp)
         rows = [pl_sample(p, rng).order for p, w in pp.entries for _ in range(int(w))]
         votes = np.array(rows, dtype=np.int16).reshape(-1, m)
-    else:
-        centrals, counts, phis = _mallows_arrays(pp)
-        votes = _mallows_votes(centrals, counts, np.array([float(p) for p in phis]), rng)
-    return Profile(m, votes, np.ones(len(votes), dtype=np.int64)).aggregated()
+        # each vote is its own central, read in order
+        order = np.broadcast_to(np.arange(m, dtype=np.int16), votes.shape)
+        return votes, np.arange(len(votes)), order
+    centrals, counts, phis = _mallows_arrays(pp)
+    return centrals, *_mallows_positions(centrals, counts, np.array([float(p) for p in phis]), rng)
 
 
 def _tallied_profile(m: int, counts: np.ndarray) -> Profile:
@@ -824,5 +895,5 @@ def sample_mallows_around(central: Profile, phi, rng: np.random.Generator) -> Pr
     if m <= SAMPLE_ENUM_MAX_M:
         draw = _mallows_sampler(central.votes, counts, [phi] * len(counts))
         return _tallied_profile(m, draw(rng))
-    votes = _mallows_votes(central.votes, counts, np.full(len(counts), float(phi)), rng)
-    return Profile(m, votes, np.ones(len(votes), dtype=np.int64)).aggregated()
+    phis = np.full(len(counts), float(phi))
+    return _positions_profile(central.votes, *_mallows_positions(central.votes, counts, phis, rng))

@@ -85,10 +85,10 @@ class _OverOpCap(Exception):
 
 @dataclass(frozen=True)
 class DpDiagnostics:
-    """Window-DP shape: distance parameter, window radius, stored states."""
+    """Window-DP shape: distance parameter d (also the window's radius in
+    positions) and stored states."""
 
     d: int
-    window_radius: int
     max_states: int
 
 
@@ -295,15 +295,15 @@ def kemeny_dp(election: Profile | Tally, op_cap: Optional[int] = None) -> SolveR
     n = tally.n
     if n == 0:
         return SolveResult(Ranking(tuple(range(m))), 0, time.perf_counter() - start, 0, "dp",
-                           DpDiagnostics(0, 0, 0))
+                           DpDiagnostics(0, 0))
     if n == 1:
         return SolveResult(tally.vote, 0, time.perf_counter() - start, 0, "dp",
-                           DpDiagnostics(0, 0, 0))
+                           DpDiagnostics(0, 0))
     n_tally = tally.matrix
     d = -(-_kt_pair_total(n_tally) // (n * (n - 1)))  # ceiling of the average KT distance
     if d == 0:
         return SolveResult(tally.vote, 0, time.perf_counter() - start, 0, "dp",
-                           DpDiagnostics(0, 0, 1))
+                           DpDiagnostics(0, 1))
     # average positions, kept exact: pbar_num[c] = n * (1-based average position)
     pbar_num = tally.position_sums + n
 
@@ -337,7 +337,7 @@ def kemeny_dp(election: Profile | Tally, op_cap: Optional[int] = None) -> SolveR
         elapsed=time.perf_counter() - start,
         op_count=ops,
         solver="dp",
-        diagnostics=DpDiagnostics(d, d, stored),
+        diagnostics=DpDiagnostics(d, stored),
     )
 
 
@@ -387,6 +387,5 @@ def result_record(res: SolveResult) -> dict:
         "elapsed_ms": res.elapsed * 1000.0,
         "op_count": res.op_count,
         "d": res.diagnostics.d if res.diagnostics else None,
-        "window_radius": res.diagnostics.window_radius if res.diagnostics else None,
         "solver": res.solver,
     }

@@ -411,16 +411,16 @@ def test_sample_profile_large_m_path():
     assert int(prof.n) == 5 and prof.m == 8
 
 
-@pytest.mark.parametrize("m", [3, 6, 7, 8])
+@pytest.mark.parametrize("m", [3, 6, 7, 8, 9])
 @pytest.mark.parametrize("family", ["mallows", "pl", "empty"])
 def test_sample_tally_is_the_tally_of_sample_profile(m, family):
-    # light and heavy types (weights on both sides of m! at m = 3), two
-    # dispersions; both generators start from the same seed
+    # light and heavy types (weights on both sides of m! at m = 3), four
+    # types at each of two dispersions; both generators start from the same seed
     rng = np.random.default_rng(m)
-    weights = (2, 5, 9, 40)
+    weights = (2, 5, 9, 40, 1, 3, 17, 6)
     if family == "mallows":
         entries = [(MallowsParam(Ranking(tuple(rng.permutation(m).tolist())), phi), w)
-                   for w, phi in zip(weights, (0.3, HALF, 0.3, HALF))]
+                   for w, phi in zip(weights, (0.3, HALF) * 4)]
     elif family == "pl":
         entries = [(PlackettLuceParam.from_utilities((rng.random(m) + 0.1).tolist()), w)
                    for w in weights]
@@ -435,6 +435,111 @@ def test_sample_tally_is_the_tally_of_sample_profile(m, family):
         assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
     assert got.n == sum(w for _, w in entries)
     assert rng_tally.bit_generator.state == rng_profile.bit_generator.state
+
+
+@pytest.mark.parametrize("family", ["mallows", "pl"])
+def test_sample_tally_builds_no_profile_above_enumeration(monkeypatch, family):
+    # m = 8 draws per voter; the tally, its first vote included, comes
+    # straight from the drawn positions
+    rng = np.random.default_rng(8)
+    if family == "mallows":
+        entries = [(MallowsParam(Ranking(tuple(rng.permutation(8).tolist())), phi), w)
+                   for w, phi in zip((300, 1, 40, 7), (0.3, HALF, 0.9, HALF))]
+    else:
+        entries = [(PlackettLuceParam.from_utilities((rng.random(8) + 0.1).tolist()), w)
+                   for w in (30, 1, 4)]
+    pp = ParameterProfile.from_entries(8, entries)
+    want = Tally.of(sample_profile(pp, np.random.default_rng(5)))
+
+    def refuse(self):
+        raise AssertionError("sample_tally built a Profile")
+
+    monkeypatch.setattr(Profile, "__post_init__", refuse)
+    got = sample_tally(pp, np.random.default_rng(5))
+    assert got.vote == want.vote and got.n == want.n
+    assert np.array_equal(got.matrix, want.matrix)
+    assert np.array_equal(got.position_sums, want.position_sums)
+
+
+def _reduce_m6_profile() -> ParameterProfile:
+    """The rounded gadget profile of the reduce-m6 benchmark workload: two
+    disjoint triangles, m = 6, t = 2, K = 6 (648 types, 46,008 voters)."""
+    from votelab import gadgets
+    from votelab.core import Digraph
+
+    edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    inst = gadgets.FasInstance(Digraph.from_edges(6, edges), 2, "eulerian")
+    cfg = gadgets.ReductionConfig(K=6)
+    return gadgets.round_to_integral(gadgets.build_instance_profile(inst, cfg), cfg.K, cfg.max_n)
+
+
+def _light_and_heavy_profile() -> ParameterProfile:
+    """Every central at m = 5 at two dispersions: 13,116 light voters (three
+    full DRAW_BLOCKs and a partial one) and ten heavy types."""
+    from itertools import permutations
+
+    entries = []
+    for k, r in enumerate(permutations(range(5))):
+        for j, phi in enumerate((0.3, HALF)):
+            w = 150 + 400 * j if k % 29 == 0 else 1 + (37 * k + 11 * j) % 113
+            entries.append((MallowsParam(Ranking(r), phi), w))
+    return ParameterProfile.from_entries(5, entries)
+
+
+def _draw_digest(pp, rng) -> str:
+    import hashlib
+    import json
+
+    tally = sample_tally(pp, rng)
+    h = hashlib.sha256()
+    h.update(tally.matrix.tobytes())
+    h.update(tally.position_sums.tobytes())
+    h.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_enumerated_draw_stream_is_pinned():
+    # digests of the pairwise tally, the position sums and the generator
+    # state after each draw, recorded before the flat-table kernel replaced
+    # the per-block 2-D gathers; any change of counts or of the uniforms
+    # consumed shows here
+    from votelab.harness import trial_rng
+    from votelab.models import DRAW_BLOCK
+
+    pp = _reduce_m6_profile()
+    assert (int(pp.total_weight), pp.type_count) == (46008, 648)
+    assert [_draw_digest(pp, trial_rng(1, i)) for i in range(5)] == [
+        "8f18fd0093c8a08508a72eaa541983f18d90ac4035e3ab1d715a76e745d916a7",
+        "ce6fad7ba1e44754f63369174ccb90e1b996c123302f782bb09d2e017440f2ea",
+        "763cc9f7f18558adbeafe008e25c62af980aadbf2760714a5e0247251218269e",
+        "1509647764b9696832c09588c547a9ba970eaf97d98a55fe65e9365648d243e9",
+        "5b21b79f40e49ea5f3747f4125f02f6861874b2c2204067adc466092390bb8c7",
+    ]
+    pp = _light_and_heavy_profile()
+    weights = [int(w) for _, w in pp.entries]
+    light = sum(w for w in weights if w < 120)
+    assert light // DRAW_BLOCK == 3 and light % DRAW_BLOCK
+    assert sum(w >= 120 for w in weights) == 10
+    assert [_draw_digest(pp, np.random.default_rng(seed)) for seed in (0, 1)] == [
+        "15b59b3f8af9f517b1d5207a249c64a3b054d638831eac7014dd958e96687075",
+        "602eedbd65aa160c2db995791939dccd5b8042a5956385aa5ea10645952f5073",
+    ]
+
+
+def test_enumerated_draw_memory_stays_per_block():
+    # a warm draw of 46,008 voters allocates per DRAW_BLOCK, not per voter
+    import tracemalloc
+
+    pp = _reduce_m6_profile()
+    sample_tally(pp, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sample_tally(pp, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +877,8 @@ def test_alias_draw_matches_per_voter_loop(m):
         x = v * size
         col = min(int(x), size - 1)
         want.append(col if x - col < prob[g, col] else int(alias[g, col]))
-    assert _alias_draw(prob, alias, table, u).tolist() == want
+    at = (table * size).astype(np.int32)  # offsets into the flat tables
+    assert _alias_draw(prob.ravel(), alias.ravel(), at, u, size).tolist() == want
 
 
 @pytest.mark.parametrize("m", range(2, 8))

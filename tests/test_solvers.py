@@ -221,7 +221,6 @@ def test_dp_diagnostics_populated():
     prof = CYCLIC3
     res = kemeny_dp(prof)
     assert res.diagnostics.d == 2
-    assert res.diagnostics.window_radius == 2
     assert res.diagnostics.max_states >= 1
     assert res.op_count > 0
 
@@ -347,7 +346,7 @@ def test_answer_determinism_across_runs():
 
 def test_result_record_shape():
     rec = result_record(kemeny_dp(CYCLIC3))
-    assert set(rec) == {"ranking", "score", "elapsed_ms", "op_count", "d", "window_radius", "solver"}
+    assert set(rec) == {"ranking", "score", "elapsed_ms", "op_count", "d", "solver"}
     assert rec["ranking"] == [0, 1, 2]
     rec2 = result_record(kemeny_brute(CYCLIC3))
     assert rec2["d"] is None
