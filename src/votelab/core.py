@@ -595,8 +595,9 @@ def _tally_score(r: Ranking, n_tally: np.ndarray) -> Weight:
     return vals.sum() if vals.dtype != object else sum(vals.tolist())
 
 
-#: vote rows per block when ``pairwise_tally`` sums integer weights
-TALLY_CHUNK = 4096
+#: vote rows per block when ``pairwise_tally`` sums integer weights; a
+#: block's int64 comparison array takes 8 * rows * m^2 bytes, 256 KB at m = 8
+TALLY_CHUNK = 512
 
 
 def _block_tally(w: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -689,25 +690,27 @@ def _kt_pair_total(tally: np.ndarray) -> int:
     )
 
 
-def avg_kt(profile: Profile) -> float | Fraction:
+def avg_kt(election: Profile | Tally) -> float | Fraction:
     """Average KT distance over ordered pairs of distinct voters.
 
     Defined as the sum of KT(R_i, R_j) over ordered pairs i != j divided
     by n(n-1); equivalently the mean KT distance between two distinct
     voters, so a two-vote profile at distance 3 has average 3.  Requires
-    an integral profile with n >= 2.
+    an integral election with n >= 2, given as a profile or as its tally.
 
     The sum is read off the pairwise tally N as the sum over a < b of
     2 N[a, b] N[b, a], with O(m^2) exact integer work, never from the
-    (k, k) distance matrix.  The result is an int when n(n-1) divides the
-    sum, else a float.
+    (k, k) distance matrix.  A tally's matrix is read as it is; a profile
+    is tallied from its rows, without aggregating them first.  The result
+    is an int when n(n-1) divides the sum, else a float.
     """
-    if not profile.is_integral:
+    if not election.is_integral:
         raise ValueError("average KT distance requires an integral profile")
-    n = int(profile.n)
+    n = int(election.n)
     if n < 2:
         raise ValueError("need at least two votes")
-    total = _kt_pair_total(pairwise_tally(profile))
+    n_tally = election.matrix if isinstance(election, Tally) else pairwise_tally(election)
+    total = _kt_pair_total(n_tally)
     if total % (n * (n - 1)) == 0:
         return total // (n * (n - 1))
     return total / (n * (n - 1))

@@ -55,7 +55,6 @@ __all__ = [
     "dp_smoothed_check",
     "reduction_trials",
     "run_experiment",
-    "chi_square_gof",
     "write_csv",
     "write_jsonl",
 ]
@@ -374,12 +373,13 @@ def avg_kt_concentration_check(
 ) -> tuple[ConcentrationReport, list[dict]]:
     """Estimate how often the sampled average distance exceeds its bound.
 
-    Samples profiles from per-voter Mallows noise around the central
-    profile (``sample_mallows_around``, one vote per voter at the shared
-    dispersion) and counts trials with average KT distance above
-    avg_kt(central) + 2 * (mean expected-distance bound) + t; the rate is
-    compared against the Hoeffding tail exp(-2nt^2 / (m^2 (m-1)^2)) plus
-    three binomial sigmas of slack.
+    Each trial draws the tally of per-voter Mallows noise around the
+    central profile (``sample_mallows_around``, one vote per voter at the
+    shared dispersion) and reads its average KT distance off that tally,
+    with no sampled profile built.  It counts trials with average KT
+    distance above avg_kt(central) + 2 * (mean expected-distance bound) +
+    t; the rate is compared against the Hoeffding tail
+    exp(-2nt^2 / (m^2 (m-1)^2)) plus three binomial sigmas of slack.
     """
     rng_central = trial_rng(cfg.seed, 0)
     central = central if central is not None else central_profile(cfg.central, cfg.m, cfg.n, rng_central)
@@ -443,13 +443,14 @@ def dp_smoothed_check(
 ) -> tuple[DpEnvelopeReport, list[dict]]:
     """Validate the distance parameter and the DP cost envelope on samples.
 
-    Each trial samples per-voter Mallows noise around the central profile
-    with ``sample_mallows_around``.  (a) the sampled profile's distance
-    parameter stays at or below d = ceil(avg_kt(central) + 2 * mean-bound
-    + t) with frequency at least 1 - Hoeffding tail - 3 sigma; (b) on every
-    sampled profile the window DP's op_count stays within the calibrated
-    envelope DP_ENVELOPE_C * 16^d * d^2 * n^2 * m^2 * log2(m) at the
-    profile's own distance parameter.
+    Each trial draws the tally of per-voter Mallows noise around the
+    central profile with ``sample_mallows_around`` and solves that tally
+    with ``kemeny_dp``, with no sampled profile built.  (a) the sampled
+    election's distance parameter stays at or below d = ceil(avg_kt(central)
+    + 2 * mean-bound + t) with frequency at least 1 - Hoeffding tail -
+    3 sigma; (b) on every sampled election the window DP's op_count stays
+    within the calibrated envelope DP_ENVELOPE_C * 16^d * d^2 * n^2 * m^2 *
+    log2(m) at the election's own distance parameter.
     """
     rng_central = trial_rng(cfg.seed, 0)
     central = central if central is not None else central_profile(cfg.central, cfg.m, cfg.n, rng_central)
@@ -659,16 +660,3 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if cfg.out_jsonl:
         write_jsonl(cfg.out_jsonl, rows, h, cfg.seed)
     return summary
-
-
-def chi_square_gof(counts: Sequence[int], probs: Sequence[float]) -> tuple[float, float]:
-    """Chi-square goodness of fit of observed counts against probabilities."""
-    # imported here, not at module top: scipy.stats dominates the package's
-    # start-up time, and only this check needs it
-    from scipy import stats as sp_stats
-
-    counts = np.asarray(counts, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    expected = probs / probs.sum() * counts.sum()
-    stat, p = sp_stats.chisquare(counts, f_exp=expected)
-    return float(stat), float(p)

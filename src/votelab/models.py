@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, groupby, permutations, repeat
 from math import factorial
 from typing import Callable, Iterable, Sequence, Union
 
@@ -354,16 +354,24 @@ def expected_kt_bound(param: MallowsParam) -> float:
 def mean_expected_kt_bound(phis: Sequence, m: int) -> float:
     """Mean of the per-voter expected-KT bounds, one dispersion per voter.
 
-    ``kt_bound`` runs once per distinct dispersion; the per-voter values are
-    still summed left to right.  Keys are typed, because ``Fraction(0.2)``
-    and ``0.2`` are equal but their bounds round differently.
+    ``kt_bound`` runs once per distinct dispersion.  The vector is read as
+    runs of one dispersion, and a single ``sum`` adds each run's bound
+    once per voter, left to right, so the float equals the per-voter sum's
+    on any Python version (3.12's float ``sum`` is compensated, so neither
+    per-run subtotals nor ``count * bound`` would do).  Runs and keys are
+    typed, because ``Fraction(0.2)`` and ``0.2`` are equal but their bounds
+    round differently.
     """
     values = tuple(phis)
     if not values:
         raise ValueError("empty dispersion vector")
-    keys = [(type(p), p) for p in values]
-    bound = {key: kt_bound(key[1], m) for key in dict.fromkeys(keys)}
-    return float(sum(bound[key] for key in keys)) / len(values)
+    bounds: dict = {}
+    runs = []
+    for key, run in groupby(zip(map(type, values), values)):
+        if key not in bounds:
+            bounds[key] = kt_bound(key[1], m)
+        runs.append(repeat(bounds[key], len(list(run))))
+    return float(sum(chain.from_iterable(runs))) / len(values)
 
 
 # ---------------------------------------------------------------------------
@@ -825,6 +833,19 @@ def _profile_sampler(pp: ParameterProfile) -> Callable[[np.random.Generator], np
     return _mallows_sampler(*_mallows_arrays(pp))
 
 
+@lru_cache(maxsize=1)
+def _positions_arrays(pp: ParameterProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only centrals, counts and float dispersions that
+    ``_mallows_positions`` draws an integral Mallows profile from, for m
+    above SAMPLE_ENUM_MAX_M; built once per profile, as ``_profile_sampler``
+    builds the m <= SAMPLE_ENUM_MAX_M sampler."""
+    centrals, counts, phis = _mallows_arrays(pp)
+    arrays = centrals, counts, np.array([float(p) for p in phis], dtype=np.float64)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def _drawn_positions(
     pp: ParameterProfile, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -839,8 +860,8 @@ def _drawn_positions(
         # each vote is its own central, read in order
         order = np.broadcast_to(np.arange(m, dtype=np.int16), votes.shape)
         return votes, np.arange(len(votes)), order
-    centrals, counts, phis = _mallows_arrays(pp)
-    return centrals, *_mallows_positions(centrals, counts, np.array([float(p) for p in phis]), rng)
+    centrals, counts, phis = _positions_arrays(pp)
+    return centrals, *_mallows_positions(centrals, counts, phis, rng)
 
 
 def _tallied_profile(m: int, counts: np.ndarray) -> Profile:
@@ -876,24 +897,30 @@ def mallows_parameter_profile(central: Profile, phi) -> ParameterProfile:
     return ParameterProfile.from_entries(central.m, pairs)
 
 
-def sample_mallows_around(central: Profile, phi, rng: np.random.Generator) -> Profile:
-    """Draw one Mallows vote around each unit of weight of an integral
-    profile, all at dispersion ``phi``.
+def sample_mallows_around(central: Profile, phi, rng: np.random.Generator) -> Tally:
+    """The tally of one Mallows vote drawn around each unit of weight of an
+    integral profile, all at dispersion ``phi``.
 
-    Returns ``sample_profile(mallows_parameter_profile(central, phi), rng)``
-    bit for bit, with the same RNG draws, but builds no parameter objects.
-    The aggregated central rows are unique, lexicographic and nonzero, the
-    order ``ParameterProfile.from_entries`` sorts the parameters into, so
-    they go to the same sampling kernel as they are.
+    Returns ``sample_tally(mallows_parameter_profile(central, phi), rng)``
+    bit for bit, with the same RNG draws, but builds no parameter objects
+    and no profile.  The aggregated central rows are unique, lexicographic
+    and nonzero, the order ``ParameterProfile.from_entries`` sorts the
+    parameters into, so they go to the same sampling kernel as they are,
+    and its counts (m <= SAMPLE_ENUM_MAX_M) or positions (above) are
+    tallied directly.
     """
     phi = _checked_phi(phi)
     m = central.m
     central = central.aggregated()
     if not central.is_integral:
         raise ValueError("sampling requires an integral parameter profile")
-    counts = np.array([int(w) for w in central.weights.tolist()], dtype=np.int64)
+    weights = central.weights
+    if weights.dtype == object:
+        counts = np.array([int(w) for w in weights.tolist()], dtype=np.int64)
+    else:
+        counts = weights.astype(np.int64)
     if m <= SAMPLE_ENUM_MAX_M:
         draw = _mallows_sampler(central.votes, counts, [phi] * len(counts))
-        return _tallied_profile(m, draw(rng))
+        return _counts_tally(m, draw(rng))
     phis = np.full(len(counts), float(phi))
-    return _positions_profile(central.votes, *_mallows_positions(central.votes, counts, phis, rng))
+    return _positions_tally(central.votes, *_mallows_positions(central.votes, counts, phis, rng))

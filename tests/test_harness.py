@@ -1,5 +1,6 @@
 """Harness: config parsing, bound checks, persistence, reproducibility, CLI."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -22,7 +23,6 @@ from votelab.harness import (
     avg_kt_concentration_check,
     bm_paradox_check,
     central_profile,
-    chi_square_gof,
     dp_runtime_envelope,
     dp_smoothed_check,
     mallows_parameter_profile,
@@ -197,6 +197,28 @@ def test_concentration_m6_builds_no_mallows_params(monkeypatch):
     """Up to the enumeration threshold the alias-table kernel takes the same
     arrays, and builds its base densities without parameter objects."""
     _concentration_without_mallows_params(monkeypatch, 6)
+
+
+@pytest.mark.parametrize("m", [6, 8])
+def test_checks_build_no_profile_per_trial(monkeypatch, m):
+    """Both checks draw each trial's tally and read only that: once the
+    central exists, no Profile is built at either side of the enumeration
+    threshold."""
+    from votelab import core
+
+    n = 300
+    central = central_profile("random", m, n, np.random.default_rng(31))
+
+    def boom(self):
+        raise AssertionError("a trial built a Profile")
+
+    monkeypatch.setattr(core.Profile, "__post_init__", boom)
+    for check, experiment in ((avg_kt_concentration_check, "concentration"),
+                              (dp_smoothed_check, "dp-envelope")):
+        cfg = ExperimentConfig(experiment=experiment, m=m, n=n, phi=0.3, t=2.0,
+                               trials=3, seed=32)
+        _, rows = check(cfg, central=central)
+        assert len(rows) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +425,34 @@ def test_golden_csv_miniature(tmp_path):
     assert (tmp_path / "golden.csv").read_bytes() == golden
 
 
-def test_chi_square_gof_sane():
-    rng = np.random.default_rng(0)
-    probs = np.array([0.2, 0.3, 0.5])
-    counts = rng.multinomial(10_000, probs)
-    stat, p = chi_square_gof(counts, probs)
-    assert p > 0.001
+#: sha256 of the CSV and of the trial rows (wall-clock field dropped) of two
+#: m >= 8 experiments, as the per-profile sampling gave them; the golden file
+#: above covers m = 3 only
+PINNED_OUTPUTS = {
+    "concentration": (
+        dict(m=8, n=200, phi=0.5, t=2.0, trials=5, seed=8, central="random"),
+        "797778112d472134901444fedaede521526ea62a52f600541a6fe58fdcde0dda",
+        "5f651e46d4ab030970923ce52c8b72a9ed4c2547cde8f3286b96361208a0529b",
+    ),
+    "dp-envelope": (
+        dict(m=9, n=40, phi=0.3, t=2.0, trials=4, seed=9, central="unanimous"),
+        "fd3215f647b3572fc2d2bcc601827acfbe5367b08260da633cbeff5d774268ec",
+        "db40ae12ec2bba1a4e5c606fb9e07b0db0e5b7b228e9c971426b4f5e1b5063d0",
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(PINNED_OUTPUTS))
+def test_large_m_experiment_outputs_are_pinned(tmp_path, experiment):
+    settings, csv_digest, rows_digest = PINNED_OUTPUTS[experiment]
+    csv_path, log_path = tmp_path / "out.csv", tmp_path / "out.jsonl"
+    run_experiment(ExperimentConfig(experiment=experiment, out_csv=str(csv_path),
+                                    out_jsonl=str(log_path), **settings))
+    rows = [json.loads(line) for line in log_path.read_text().splitlines()]
+    for row in rows:
+        row.pop("elapsed_ms", None)
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == rows_digest
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,28 @@ def test_mean_expected_kt_bound_sums_per_voter_bounds_left_to_right():
     assert mean_expected_kt_bound([0.2, Fraction(0.2)], 8) != mean_expected_kt_bound([0.2] * 2, 8)
 
 
+@pytest.mark.parametrize("n", [2, 2_000, 100_000])
+@pytest.mark.parametrize("m", [3, 8])
+def test_mean_expected_kt_bound_is_the_per_voter_sum_bit_for_bit(n, m):
+    # each vector picks its dispersions from a palette by index, so the
+    # per-voter bounds of the reference sum are looked up, not recomputed
+    palette = [0.1, Fraction(0.1), 0.37, Fraction(1, 3), 0.3, 0.2, 0.7, Fraction(2, 3), 1]
+    half = n // 2
+    vectors = [
+        [0] * n,
+        [2] * n,
+        [3] * n,
+        [1] * n,
+        [0, 1] * half,
+        [4] * half + [1] * (n - half),
+        [(5, 6, 7, 8, 6)[i % 5] for i in range(n)],
+    ]
+    bound = [kt_bound(p, m) for p in palette]
+    for picks in vectors:
+        want = float(sum([bound[i] for i in picks])) / n
+        assert mean_expected_kt_bound(tuple(palette[i] for i in picks), m).hex() == want.hex()
+
+
 # ---------------------------------------------------------------------------
 # profile sampling
 # ---------------------------------------------------------------------------
@@ -433,8 +455,28 @@ def test_sample_tally_is_the_tally_of_sample_profile(m, family):
     assert (got.m, got.n, type(got.n), got.vote) == (want.m, want.n, type(want.n), want.vote)
     for a, b in ((got.matrix, want.matrix), (got.position_sums, want.position_sums)):
         assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+    _assert_same_tally(got, want)
     assert got.n == sum(w for _, w in entries)
     assert rng_tally.bit_generator.state == rng_profile.bit_generator.state
+
+
+def test_sample_tally_builds_m8_arrays_once_per_profile():
+    from votelab import models
+
+    rng = np.random.default_rng(8)
+    entries = [(MallowsParam(Ranking(tuple(rng.permutation(8).tolist())), phi), w)
+               for w, phi in zip((3, 1, 12, 5, 2, 7), (0.3, HALF) * 3)]
+    pp = ParameterProfile.from_entries(8, entries)
+    uncached = []
+    for seed in range(4):
+        models._positions_arrays.cache_clear()
+        uncached.append(sample_tally(pp, np.random.default_rng(seed)))
+    models._positions_arrays.cache_clear()
+    for seed in range(4):
+        _assert_same_tally(sample_tally(pp, np.random.default_rng(seed)), uncached[seed])
+    info = models._positions_arrays.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert not any(a.flags.writeable for a in models._positions_arrays(pp))
 
 
 @pytest.mark.parametrize("family", ["mallows", "pl"])
@@ -759,14 +801,18 @@ def _unaggregated_central(m, rng):
     return Profile.from_rankings(rows, [1, 3, 0, 2, 1, 7, 1, 2, 4, 1], m=m)
 
 
+def _assert_same_tally(got, want):
+    assert isinstance(got, Tally)
+    assert (got.m, got.n, type(got.n), got.vote) == (want.m, want.n, type(want.n), want.vote)
+    for a, b in ((got.matrix, want.matrix), (got.position_sums, want.position_sums)):
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+
+
 def _assert_same_sample(central, phi, seed=7):
+    # sample_tally is tied to sample_profile by test_sample_tally_is_the_tally_of_sample_profile
     new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = sample_mallows_around(central, phi, new_rng)
-    want = sample_profile(mallows_parameter_profile(central, phi), ref_rng)
-    assert got.m == want.m
-    assert got.votes.dtype == want.votes.dtype and np.array_equal(got.votes, want.votes)
-    assert got.weights.dtype == want.weights.dtype
-    assert got.weights.tolist() == want.weights.tolist()
+    _assert_same_tally(got, sample_tally(mallows_parameter_profile(central, phi), ref_rng))
     assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
