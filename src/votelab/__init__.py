@@ -49,7 +49,6 @@ from .models import (
     mean_expected_kt_bound,
     pl_pmf,
     pl_sample,
-    sample_mallows_around,
     sample_profile,
 )
 from .solvers import (

@@ -51,10 +51,6 @@ def label(a: int) -> str:
     return f"a{a + 1}"
 
 
-def _is_exact_scalar(w) -> bool:
-    return isinstance(w, (Fraction, int, np.integer)) and not isinstance(w, bool)
-
-
 def weight_array(weights: Sequence[Weight]) -> np.ndarray:
     """Pack weights into an ndarray, preserving exactness.
 
@@ -62,11 +58,12 @@ def weight_array(weights: Sequence[Weight]) -> np.ndarray:
     float64.
     """
     ws = list(weights)
-    if any(isinstance(w, Fraction) for w in ws):
+    types = set(map(type, ws))  # the checks below run once per type, not per weight
+    if any(issubclass(t, Fraction) for t in types):
         arr = np.empty(len(ws), dtype=object)
-        arr[:] = [Fraction(w) if not isinstance(w, float) else w for w in ws]
+        arr[:] = [w if isinstance(w, (Fraction, float)) else Fraction(w) for w in ws]
         return arr
-    if all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) for w in ws):
+    if all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
         return np.asarray(ws, dtype=np.int64)
     return np.asarray(ws, dtype=np.float64)
 
@@ -74,6 +71,37 @@ def weight_array(weights: Sequence[Weight]) -> np.ndarray:
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _merge_rows(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of the integer (k, c) array ``rows``: the index
+    of each group's first row, groups in lexicographic row order, and each
+    group's in-order weight sum (so float sums round as a left-to-right
+    loop would), groups summing to zero dropped.  Integer and boolean
+    weights sum to int64, float weights to float64, and other dtypes
+    (object, including Fractions) as Python scalars packed by
+    ``weight_array``."""
+    k = len(rows)
+    # np.unique(rows, axis=0, return_inverse=True) gives the same rows and
+    # groups, but took 10-14x as long for k = 2,000-40,000 rows of m = 7-8
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.ones(k, dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.empty(k, dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    first = order[starts]
+    kind = weights.dtype.kind
+    if kind in "biuf":
+        sums = np.zeros(len(first), dtype=np.float64 if kind == "f" else np.int64)
+        np.add.at(sums, group, weights.astype(sums.dtype))
+        keep = sums != 0
+        return first[keep], sums[keep]
+    totals: list[Weight] = [0] * len(first)
+    for g, w in zip(group.tolist(), weights.tolist()):
+        totals[g] = totals[g] + w
+    keep = [g for g, w in enumerate(totals) if w != 0]
+    return first[keep], weight_array([totals[g] for g in keep])
 
 
 @lru_cache(maxsize=64)
@@ -159,11 +187,7 @@ class Profile:
             weights = weight_array(weights)
         if weights.shape != (votes.shape[0],):
             raise ValueError("weights must align with vote rows")
-        if weights.dtype == object:
-            negative = any(w < 0 for w in weights.tolist())
-        else:
-            negative = bool((weights < 0).any())
-        if negative:
+        if (weights < 0).any():
             raise ValueError("weights must be nonnegative")
         object.__setattr__(self, "votes", _readonly(votes))
         object.__setattr__(self, "weights", _readonly(weights))
@@ -223,48 +247,16 @@ class Profile:
     def aggregated(self) -> "Profile":
         """Merge duplicate vote rows, summing weights; drops zero weights.
 
-        Rows come out in lexicographic order.  Each merged weight is the
-        in-order sum of its rows' weights, so float sums round exactly as a
-        left-to-right loop would.  Integer and boolean weights give int64,
-        float weights float64 (int64 if nothing is left); other dtypes
-        (object, including Fractions) are summed as Python scalars and
-        packed by ``weight_array``.  A profile this method returned is
+        Rows and weights come out as ``_merge_rows`` gives them (an empty
+        result has int64 weights).  A profile this method returned is
         already in that form and is returned as it is.
         """
         if self._aggregated:
             return self
-        out = self._merged()
+        first, sums = _merge_rows(self.votes, self.weights)
+        out = Profile(self.m, self.votes[first], sums) if len(first) else Profile.empty(self.m)
         object.__setattr__(out, "_aggregated", True)
         return out
-
-    def _merged(self) -> "Profile":
-        k = len(self)
-        if k == 0:
-            return Profile.empty(self.m)
-        # np.unique(votes, axis=0, return_inverse=True) gives the same rows and
-        # groups, but took 10-14x as long for k = 2,000-40,000 rows of m = 7-8
-        order = np.lexsort(self.votes.T[::-1])
-        ranked = self.votes[order]
-        starts = np.ones(k, dtype=bool)
-        starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-        group = np.empty(k, dtype=np.intp)
-        group[order] = np.cumsum(starts) - 1
-        unique = ranked[starts]
-        kind = self.weights.dtype.kind
-        if kind in "biuf":
-            sums = np.zeros(len(unique), dtype=np.float64 if kind == "f" else np.int64)
-            np.add.at(sums, group, self.weights.astype(sums.dtype))
-            keep = sums != 0
-            if not keep.any():
-                return Profile.empty(self.m)
-            return Profile(self.m, unique[keep], sums[keep])
-        totals: list[Weight] = [0] * len(unique)
-        for g, w in zip(group.tolist(), self.weights.tolist()):
-            totals[g] = totals[g] + w
-        keep = [g for g, w in enumerate(totals) if w != 0]
-        if not keep:
-            return Profile.empty(self.m)
-        return Profile(self.m, unique[keep], weight_array([totals[g] for g in keep]))
 
     def union(self, other: "Profile") -> "Profile":
         if other.m != self.m:

@@ -50,10 +50,8 @@ from .models import (
     ModelParam,
     ParameterProfile,
     PlackettLuceParam,
-    _param_exact,
     expected_wmg,
     mallows_pairwise,
-    permute_param,
     sample_tally,
 )
 from .solvers import TimedOut, _adjacency, _full_lattice, get_solver, slater_brute, solve_with_budget
@@ -192,11 +190,8 @@ def _as_profile(x: ModelParam | ParameterProfile) -> ParameterProfile:
 
 
 def _apply_orbit(orbit: Sequence[Permutation], x: ParameterProfile) -> ParameterProfile:
-    pairs = []
-    for sigma in orbit:
-        for p, w in x.entries:
-            pairs.append((permute_param(sigma, p), w))
-    return ParameterProfile.from_entries(x.m, pairs)
+    images = [x.permuted(sigma) for sigma in orbit]
+    return images[0].union(*images[1:])
 
 
 def orbit_3cycle(theta: ModelParam) -> ParameterProfile:
@@ -355,15 +350,10 @@ def round_to_integral(
     target = pp.m**K
     if target > max_n:
         raise ValueError(f"m^K = {target} exceeds the configured cap {max_n}")
-    exact = isinstance(total, (Fraction, int)) and all(
-        isinstance(w, (Fraction, int)) for _, w in pp.entries
-    )
+    # the total is a Fraction or an int exactly when every weight is
+    exact = isinstance(total, (Fraction, int))
     factor = Fraction(target) / Fraction(total) if exact else target / float(total)
-    pairs = []
-    for p, w in pp.entries:
-        scaled = w * factor
-        pairs.append((p, int(math.floor(scaled))))
-    return ParameterProfile.from_entries(pp.m, pairs)
+    return pp.with_weights([math.floor(w * factor) for w in pp.weights.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +648,9 @@ def check_gadget_identities(
     if theta.m != m:
         raise ValueError("mismatched m")
     theta_co = theta_co if theta_co is not None else theta
-    exact = _param_exact(theta) and _param_exact(theta_co)
-    results = []
     w = expected_wmg(theta)
+    exact = w.is_exact and expected_wmg(theta_co).is_exact
+    results = []
     alpha = triangle_margin_sum(w)
     beta = block_cross_sum(w) if m > 3 else 0
 

@@ -31,7 +31,6 @@ from .models import (
     ParameterProfile,
     mallows_parameter_profile,
     mean_expected_kt_bound,
-    sample_mallows_around,
     sample_tally,
 )
 from .solvers import get_solver, kemeny_dp
@@ -373,13 +372,14 @@ def avg_kt_concentration_check(
 ) -> tuple[ConcentrationReport, list[dict]]:
     """Estimate how often the sampled average distance exceeds its bound.
 
-    Each trial draws the tally of per-voter Mallows noise around the
-    central profile (``sample_mallows_around``, one vote per voter at the
-    shared dispersion) and reads its average KT distance off that tally,
-    with no sampled profile built.  It counts trials with average KT
-    distance above avg_kt(central) + 2 * (mean expected-distance bound) +
-    t; the rate is compared against the Hoeffding tail
-    exp(-2nt^2 / (m^2 (m-1)^2)) plus three binomial sigmas of slack.
+    The per-voter Mallows parameters around the central profile (one vote
+    per voter at the shared dispersion) are built once; each trial draws
+    the tally of that noise with ``sample_tally`` and reads its average KT
+    distance off the tally, with no sampled profile built.  It counts
+    trials with average KT distance above avg_kt(central) + 2 * (mean
+    expected-distance bound) + t; the rate is compared against the
+    Hoeffding tail exp(-2nt^2 / (m^2 (m-1)^2)) plus three binomial sigmas
+    of slack.
     """
     rng_central = trial_rng(cfg.seed, 0)
     central = central if central is not None else central_profile(cfg.central, cfg.m, cfg.n, rng_central)
@@ -389,11 +389,12 @@ def avg_kt_concentration_check(
     base = float(avg_kt(central))
     phi_star = mean_expected_kt_bound((cfg.phi,) * n, cfg.m)
     threshold = base + 2.0 * phi_star + cfg.t
+    noise = mallows_parameter_profile(central, cfg.phi)
     violations = 0
     rows = []
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, 1, trial)
-        sampled = sample_mallows_around(central, cfg.phi, rng)
+        sampled = sample_tally(noise, rng)
         val = float(avg_kt(sampled))
         hit = val > threshold
         violations += hit
@@ -443,10 +444,11 @@ def dp_smoothed_check(
 ) -> tuple[DpEnvelopeReport, list[dict]]:
     """Validate the distance parameter and the DP cost envelope on samples.
 
-    Each trial draws the tally of per-voter Mallows noise around the
-    central profile with ``sample_mallows_around`` and solves that tally
-    with ``kemeny_dp``, with no sampled profile built.  (a) the sampled
-    election's distance parameter stays at or below d = ceil(avg_kt(central)
+    The per-voter Mallows parameters around the central profile are built
+    once; each trial draws the tally of that noise with ``sample_tally``
+    and solves it with ``kemeny_dp``, with no sampled profile built.  (a)
+    the sampled election's distance parameter stays at or below d =
+    ceil(avg_kt(central)
     + 2 * mean-bound + t) with frequency at least 1 - Hoeffding tail -
     3 sigma; (b) on every sampled election the window DP's op_count stays
     within the calibrated envelope DP_ENVELOPE_C * 16^d * d^2 * n^2 * m^2 *
@@ -461,10 +463,11 @@ def dp_smoothed_check(
     within = 0
     env_ok = True
     max_ratio = 0.0
+    noise = mallows_parameter_profile(central, cfg.phi)
     rows = []
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, 1, trial)
-        sampled = sample_mallows_around(central, cfg.phi, rng)
+        sampled = sample_tally(noise, rng)
         res = kemeny_dp(sampled)
         dbar = res.diagnostics.d
         envelope = DP_ENVELOPE_C * dp_runtime_envelope(dbar, n, cfg.m)

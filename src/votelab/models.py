@@ -15,12 +15,12 @@ from a master seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, groupby, permutations, repeat
 from math import factorial
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,11 +31,13 @@ from .core import (
     Tally,
     Weight,
     WeightedMajorityGraph,
+    _merge_rows,
+    _readonly,
     _upper_pairs,
     all_rankings,
     as_ranking,
     kt_distance,
-    permute,
+    weight_array,
 )
 
 __all__ = [
@@ -59,8 +61,6 @@ __all__ = [
     "sample_profile",
     "sample_tally",
     "mallows_parameter_profile",
-    "sample_mallows_around",
-    "permute_param",
 ]
 
 
@@ -133,10 +133,12 @@ class PlackettLuceParam:
 ModelParam = Union[MallowsParam, PlackettLuceParam]
 
 
-def _param_sort_key(param: ModelParam):
-    if isinstance(param, MallowsParam):
-        return (0, param.central.order, float(param.phi), str(param.phi))
-    return (1, tuple(float(t) for t in param.theta), str(param.theta))
+def _typed_index(values: Iterable) -> tuple[tuple, np.ndarray]:
+    """The distinct values, each kept once by (type, value), and each
+    value's index into them."""
+    keys: dict = {}
+    index = [keys.setdefault((type(v), v), len(keys)) for v in values]
+    return tuple(v for _, v in keys), np.array(index, dtype=np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,20 +149,46 @@ class ParameterProfile:
     weight plays the role of the (possibly fractional) number of voters
     and the induced expected majority graph is the weighted sum of the
     per-parameter graphs.
+
+    Type t is row t of arrays: a Mallows type is the read-only int16
+    central ranking ``centrals[t]`` at dispersion ``phis[phi_index[t]]``
+    (``phis`` holds each distinct dispersion once), a Plackett-Luce type
+    the utility row ``thetas[t]`` (object dtype when any is a Fraction).
+    ``weights`` are packed as ``core.weight_array`` packs them, and
+    ``entries`` gives the types as (parameter, weight) pairs.  Every
+    constructor and operation below merges equal parameters into one type
+    at the first one seen, with the in-order weight sum, drops zero
+    weights, and sorts types by central ranking and dispersion, or by
+    utilities.
     """
 
     m: int
-    entries: tuple[tuple[ModelParam, Weight], ...]
+    weights: np.ndarray
+    centrals: Optional[np.ndarray] = None
+    phis: tuple = ()
+    phi_index: Optional[np.ndarray] = None
+    thetas: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        fams = {type(p) for p, _ in self.entries}
-        if len(fams) > 1:
-            raise ValueError("parameter profile must be homogeneous in model family")
-        for p, w in self.entries:
-            if p.m != self.m:
-                raise ValueError("mismatched m in parameter profile")
-            if w < 0:
-                raise ValueError("entry weights must be nonnegative")
+        weights = self.weights
+        if not isinstance(weights, np.ndarray):
+            weights = weight_array(weights)
+        if self.thetas is not None:
+            if self.centrals is not None:
+                raise ValueError("parameter profile must be homogeneous in model family")
+            rows = _readonly(self.thetas)
+        else:  # Mallows, or empty
+            rows = np.zeros((0, self.m)) if self.centrals is None else self.centrals
+            rows = _readonly(np.asarray(rows, dtype=np.int16))
+            index = np.zeros(0) if self.phi_index is None else self.phi_index
+            object.__setattr__(self, "centrals", rows)
+            object.__setattr__(self, "phi_index", _readonly(np.asarray(index, dtype=np.intp)))
+            object.__setattr__(self, "phis", tuple(map(_checked_phi, self.phis)))
+        if rows.shape != (len(weights), self.m):
+            raise ValueError("mismatched m in parameter profile")
+        if (weights < 0).any():
+            raise ValueError("entry weights must be nonnegative")
+        object.__setattr__(self, "weights", _readonly(weights))
 
     @staticmethod
     def from_entries(
@@ -168,61 +196,117 @@ class ParameterProfile:
     ) -> "ParameterProfile":
         """Aggregate duplicate parameters, drop zero weights, sort for
         deterministic iteration order."""
-        acc: dict[ModelParam, Weight] = {}
-        for p, w in pairs:
-            acc[p] = acc.get(p, 0) + w
-        items = [(p, w) for p, w in acc.items() if w != 0]
-        items.sort(key=lambda pw: _param_sort_key(pw[0]))
-        return ParameterProfile(m, tuple(items))
+        pairs = list(pairs)
+        params = [p for p, _ in pairs]
+        # Python scalars until merged: only the weights kept decide the packing
+        weights = np.array([w for _, w in pairs], dtype=object)
+        if len({type(p) for p in params}) > 1:
+            raise ValueError("parameter profile must be homogeneous in model family")
+        if any(p.m != m for p in params):
+            raise ValueError("mismatched m in parameter profile")
+        if params and isinstance(params[0], PlackettLuceParam):
+            rows = [p.theta for p in params]
+            exact = any(isinstance(t, Fraction) for row in rows for t in row)
+            thetas = np.array(rows, dtype=object if exact else np.float64)
+            return ParameterProfile(m, weights, thetas=thetas)._merged()
+        centrals = np.array([p.central.order for p in params], dtype=np.int16).reshape(-1, m)
+        phis, phi_index = _typed_index(p.phi for p in params)
+        return ParameterProfile(m, weights, centrals, phis, phi_index)._merged()
+
+    @property
+    def entries(self) -> tuple[tuple[ModelParam, Weight], ...]:
+        weights = self.weights.tolist()
+        if self.thetas is not None:
+            params = [PlackettLuceParam(tuple(row)) for row in self.thetas.tolist()]
+        else:
+            params = [MallowsParam(Ranking(tuple(row)), self.phis[i])
+                      for row, i in zip(self.centrals.tolist(), self.phi_index.tolist())]
+        return tuple(zip(params, weights))
 
     @property
     def total_weight(self) -> Weight:
-        return sum(w for _, w in self.entries)
+        return sum(self.weights.tolist())
 
     @property
     def type_count(self) -> int:
-        return len(self.entries)
+        return len(self.weights)
 
     @property
     def is_integral(self) -> bool:
-        return all(
-            isinstance(w, (int, np.integer))
-            or (isinstance(w, Fraction) and w.denominator == 1)
-            for _, w in self.entries
+        return self.weights.dtype == np.int64 or all(
+            isinstance(w, int) or (isinstance(w, Fraction) and w.denominator == 1)
+            for w in self.weights.tolist()
         )
 
     @property
     def family(self) -> str:
-        if not self.entries:
+        if not self.type_count:
             return "empty"
-        return "mallows" if isinstance(self.entries[0][0], MallowsParam) else "pl"
+        return "mallows" if self.thetas is None else "pl"
+
+    def with_weights(self, weights: Sequence[Weight]) -> "ParameterProfile":
+        """The same types with new weights, merged as ``from_entries`` merges."""
+        return replace(self, weights=weight_array(weights))._merged()
 
     def scale(self, c: Weight) -> "ParameterProfile":
-        return ParameterProfile.from_entries(self.m, [(p, w * c) for p, w in self.entries])
+        return self.with_weights([w * c for w in self.weights.tolist()])
 
     def union(self, *others: "ParameterProfile") -> "ParameterProfile":
-        pairs = list(self.entries)
-        for o in others:
-            if o.m != self.m:
-                raise ValueError("mismatched m")
-            pairs.extend(o.entries)
-        return ParameterProfile.from_entries(self.m, pairs)
+        if any(o.m != self.m for o in others):
+            raise ValueError("mismatched m")
+        parts = [p for p in (self, *others) if p.type_count]
+        if len({p.family for p in parts}) > 1:
+            raise ValueError("parameter profile must be homogeneous in model family")
+        if not parts:
+            return ParameterProfile(self.m, ())
+        weights = weight_array([w for p in parts for w in p.weights.tolist()])
+        if parts[0].thetas is not None:
+            thetas = np.concatenate([p.thetas for p in parts])
+            return ParameterProfile(self.m, weights, thetas=thetas)._merged()
+        phis, index = _typed_index(phi for p in parts for phi in p.phis)
+        offsets = np.cumsum([0] + [len(p.phis) for p in parts])
+        phi_index = np.concatenate([index[o:][p.phi_index] for p, o in zip(parts, offsets)])
+        centrals = np.concatenate([p.centrals for p in parts])
+        return ParameterProfile(self.m, weights, centrals, phis, phi_index)._merged()
 
     def permuted(self, sigma: Permutation) -> "ParameterProfile":
-        return ParameterProfile.from_entries(
-            self.m, [(permute_param(sigma, p), w) for p, w in self.entries]
-        )
+        """Relabel every type so its distribution commutes with relabeled votes."""
+        if sigma.m != self.m:
+            raise ValueError("mismatched m")
+        if self.thetas is not None:
+            # alternative sigma(a) takes a's utility
+            return replace(self, thetas=self.thetas[:, sigma.inverse().map])._merged()
+        smap = np.asarray(sigma.map, dtype=np.int16)
+        return replace(self, centrals=smap[self.centrals])._merged()
 
-
-def permute_param(sigma: Permutation, param: ModelParam) -> ModelParam:
-    """Relabel a parameter so its distribution commutes with relabeled votes."""
-    if isinstance(param, MallowsParam):
-        return MallowsParam(permute(sigma, param.central), param.phi)
-    theta = list(param.theta)
-    out = list(theta)
-    for a in range(len(theta)):
-        out[sigma.map[a]] = theta[a]
-    return PlackettLuceParam(tuple(out))
+    def _merged(self) -> "ParameterProfile":
+        if self.thetas is not None:
+            rows = [tuple(r) for r in self.thetas.tolist()]
+            # a dict merges equal utility rows, Fraction(1, 2) and 0.5 included
+            classes: dict = {}
+            keys = np.array([classes.setdefault(r, len(classes)) for r in rows], dtype=np.intp)
+            first, weights = _merge_rows(keys.reshape(-1, 1), self.weights)
+            order = sorted(range(len(first)), key=lambda t: (
+                tuple(map(float, rows[first[t]])), str(rows[first[t]])))
+            return ParameterProfile(self.m, weights[order], thetas=self.thetas[first[order]])
+        # equal dispersions of different types (Fraction(1, 2) and 0.5) share a class
+        values: dict = {}
+        classes = [values.setdefault(p, j) for j, p in enumerate(self.phis)]
+        keys = np.column_stack([self.centrals, np.array(classes, dtype=np.intp)[self.phi_index]])
+        first, weights = _merge_rows(keys, self.weights)
+        # each merged type keeps its first-seen dispersion; sort by central
+        # ranking, then by that dispersion's float value and text
+        key = [(float(p), str(p)) for p in self.phis]
+        rank = np.argsort(sorted(range(len(key)), key=key.__getitem__))
+        centrals, phi_index = self.centrals[first], self.phi_index[first]
+        order = np.lexsort(np.column_stack([centrals, rank[phi_index]]).T[::-1])
+        phi_index = phi_index[order]
+        # keep the dispersions still in use, in order of first use
+        used = list(dict.fromkeys(phi_index.tolist()))
+        renumber = np.zeros(len(self.phis), dtype=np.intp)
+        renumber[used] = np.arange(len(used))
+        phis = tuple(self.phis[j] for j in used)
+        return ParameterProfile(self.m, weights[order], centrals[order], phis, renumber[phi_index])
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +330,7 @@ def mallows_z(phi, m: int):
     Equals m! at phi = 1; the geometric-sum form avoids the 0/0 that the
     (1-phi^i)/(1-phi) quotient would hit there.
     """
-    if isinstance(phi, int):
-        phi = Fraction(phi)
-    if not 0 < phi <= 1:
-        raise ValueError("phi must be in (0, 1]")
+    phi = _checked_phi(phi)
     if m < 1:
         raise ValueError("m must be >= 1")
     z = phi**0
@@ -278,10 +359,7 @@ def mallows_pairwise(phi, gap: int):
     """
     if gap < 1:
         raise ValueError("gap must be >= 1")
-    if isinstance(phi, int):
-        phi = Fraction(phi)
-    if not 0 < phi <= 1:
-        raise ValueError("phi must be in (0, 1]")
+    phi = _checked_phi(phi)
     s = [_geo_sum(phi, j) for j in range(gap + 2)]
     num = phi * 0
     power = phi**0
@@ -438,41 +516,41 @@ def expected_wmg(x: ModelParam | ParameterProfile) -> WeightedMajorityGraph:
     For a Mallows parameter the margin on a central pair at gap k is
     2 * mallows_pairwise(phi, k) - 1, oriented by the central ranking; for
     Plackett-Luce it is (theta_a - theta_b)/(theta_a + theta_b).  A
-    parameter profile yields the weight-summed graph.  Exact under
-    Fraction parameters, which is what gadget verification requires.
+    parameter profile yields the weight-summed graph (a parameter is the
+    profile of it at weight 1): each type adds margin * weight to its
+    pair's cell and (-margin) * weight to the reverse one, in type order,
+    so float sums round as a per-type loop would.  Exact (Fraction
+    entries) under Fraction parameters and weights, which is what gadget
+    verification requires; float64 when no type and no weight is exact.
     """
-    if isinstance(x, ParameterProfile):
-        total = WeightedMajorityGraph.zero(x.m, exact=_profile_exact(x))
-        for p, w in x.entries:
-            total = total + expected_wmg(p) * w
-        return total
-    m = x.m
-    exact = _param_exact(x)
-    if isinstance(x, MallowsParam):
-        edges = []
-        order = x.central.order
-        for i in range(m):
-            for j in range(i + 1, m):
-                margin = 2 * mallows_pairwise(x.phi, j - i) - 1
-                edges.append((order[i], order[j], margin))
-        return WeightedMajorityGraph.from_edges(m, edges, exact=exact)
-    edges = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            edges.append((a, b, (x.theta[a] - x.theta[b]) / (x.theta[a] + x.theta[b])))
-    return WeightedMajorityGraph.from_edges(m, edges, exact=exact)
-
-
-def _param_exact(param: ModelParam) -> bool:
-    if isinstance(param, MallowsParam):
-        return isinstance(param.phi, (Fraction, int))
-    return all(isinstance(t, (Fraction, int)) for t in param.theta)
-
-
-def _profile_exact(pp: ParameterProfile) -> bool:
-    return all(_param_exact(p) for p, _ in pp.entries) and all(
-        isinstance(w, (Fraction, int)) for _, w in pp.entries
-    )
+    pp = x if isinstance(x, ParameterProfile) else ParameterProfile.from_entries(x.m, [(x, 1)])
+    m = pp.m
+    if not pp.type_count:
+        return WeightedMajorityGraph.zero(m, exact=True)
+    iu, ju = _upper_pairs(m)
+    if pp.thetas is None:
+        # one margin row per dispersion, indexed by gap - 1
+        table = np.array([[2 * mallows_pairwise(phi, gap) - 1 for gap in range(1, m)]
+                          for phi in pp.phis])
+        margins = table[pp.phi_index][:, ju - iu - 1]
+        above, below = pp.centrals[:, iu], pp.centrals[:, ju]
+        exact = [isinstance(phi, Fraction) for phi in pp.phis]
+    else:
+        th = pp.thetas
+        margins = (th[:, iu] - th[:, ju]) / (th[:, iu] + th[:, ju])
+        above, below = np.broadcast_to(iu, margins.shape), np.broadcast_to(ju, margins.shape)
+        exact = [all(isinstance(t, (Fraction, int)) for t in row) for row in th.tolist()]
+        if not any(exact):
+            margins = margins.astype(np.float64)
+    cells = np.concatenate([above * m + below, below * m + above], axis=1)
+    values = np.concatenate([margins, -margins], axis=1) * pp.weights[:, None]
+    if values.dtype == object:
+        exact.extend(isinstance(w, (Fraction, int)) for w in pp.weights.tolist())
+        flat = np.full(m * m, Fraction(0) if all(exact) else 0.0, dtype=object)
+    else:
+        flat = np.zeros(m * m)
+    np.add.at(flat, cells.ravel(), values.ravel())
+    return WeightedMajorityGraph(m, flat.reshape(m, m))
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +607,6 @@ def _density(param: ModelParam) -> np.ndarray:
     return pmf
 
 
-# Per-type densities of Plackett-Luce sampling; Mallows sampling keeps one
-# base density per dispersion in ``_alias_table`` instead.  Sized so that
-# every type of one profile stays cached while it is sampled again: a gadget
-# profile's types are relabelings of one witness, at most m! of them.
-# Cyclic access to more types than this would miss on every lookup.
-_pmf_vector = lru_cache(maxsize=factorial(SAMPLE_ENUM_MAX_M))(_density)
-
-
 @lru_cache(maxsize=64, typed=True)
 def _alias_table(m: int, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(pmf, prob, alias) of the Mallows density around the identity ranking.
@@ -581,7 +651,7 @@ def _alias_draw(
     return np.where(x - col < prob[table], col, alias[table])
 
 
-#: voters per block of ``_mallows_sampler`` and ``_positions_tally``; small
+#: voters per block of ``_profile_sampler`` and ``_positions_tally``; small
 #: blocks keep their temporaries in cache
 DRAW_BLOCK = 4096
 
@@ -614,12 +684,12 @@ def _relabel_table(m: int, centrals: bytes) -> np.ndarray:
     return table
 
 
-def _mallows_sampler(
-    centrals: np.ndarray, counts: np.ndarray, phis: Sequence
-) -> Callable[[np.random.Generator], np.ndarray]:
+@lru_cache(maxsize=1)
+def _profile_sampler(pp: ParameterProfile) -> Callable[[np.random.Generator], np.ndarray]:
     """A function of an RNG drawing the counts over ``all_rankings(m)`` of
-    ``counts[t]`` Mallows votes around row ``centrals[t]`` at dispersion
-    ``phis[t]``, for m <= SAMPLE_ENUM_MAX_M.
+    one vote per unit of weight of an integral Mallows profile, for m <=
+    SAMPLE_ENUM_MAX_M.  ParameterProfile is immutable and hashes by
+    identity, so the trials on one profile build this once.
 
     Every draw is a base ranking from the density around the identity,
     relabeled into its type's central through ``_relabel_table``.  A light
@@ -635,22 +705,17 @@ def _mallows_sampler(
     batch of uniforms, 1-D gathers through those offsets and one
     ``bincount``, with temporaries the size of a block.
     """
-    m = centrals.shape[1]
-    size = factorial(m)
-    relabel = _relabel_table(m, np.ascontiguousarray(centrals, dtype=np.int16).tobytes())
-    # typed keys: one table per (m, type(phi), phi), as _alias_table keeps them
-    keys = [(type(p), p) for p in phis]
-    group = {key: g for g, key in enumerate(dict.fromkeys(keys))}
-    tables = [_alias_table(m, phi) for _, phi in group]
+    m, size, counts, phi_index = pp.m, factorial(pp.m), _integral_counts(pp), pp.phi_index
+    relabel = _relabel_table(m, pp.centrals.tobytes())
+    tables = [_alias_table(m, phi) for phi in pp.phis]
     prob = np.array([t[1] for t in tables], dtype=np.float64).reshape(-1)
     alias = np.array([t[2] for t in tables], dtype=np.int16).reshape(-1)
-    type_table = np.array([group[key] for key in keys], dtype=np.int32)
     light = np.flatnonzero(counts < size)
     voter = np.repeat(light.astype(np.int32), counts[light])
-    table_at = type_table[voter] * np.int32(size)
+    table_at = phi_index[voter].astype(np.int32) * np.int32(size)
     relabel_at = voter * np.int32(size)
     flat_relabel = relabel.reshape(-1)
-    heavy = [(t, int(counts[t]), tables[type_table[t]][0])
+    heavy = [(t, int(counts[t]), tables[phi_index[t]][0])
              for t in np.flatnonzero(counts >= size).tolist()]
 
     def draw(rng: np.random.Generator) -> np.ndarray:
@@ -758,19 +823,19 @@ def _positions_tally(centrals: np.ndarray, entry: np.ndarray, pos: np.ndarray) -
 
 
 def sample_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
-    """Draw one ranking per unit of weight, independently per entry.
+    """Draw one ranking per unit of weight, independently per type.
 
-    Requires an integral parameter profile.  Three kernels:
+    Requires an integral parameter profile.  The samplers read its arrays
+    directly.  Three kernels:
 
-    - Mallows, m <= SAMPLE_ENUM_MAX_M: ``_mallows_sampler`` counts the votes
+    - Mallows, m <= SAMPLE_ENUM_MAX_M: ``_profile_sampler`` counts the votes
       over the m! enumerated rankings.  A voter of a type lighter than m!
       is one alias-table draw from the density around the identity, in
       blocks of flat gathers; a heavier type draws one multinomial over
       that density.  Either draw is then relabeled into the type's central
-      ranking.  The per-voter offsets are built once per profile
-      (``_profile_sampler``).
-    - Plackett-Luce, m <= SAMPLE_ENUM_MAX_M: one multinomial per entry over
-      the entry's exact density.  Both are distributed identically to
+      ranking.  The per-voter offsets are built once per profile.
+    - Plackett-Luce, m <= SAMPLE_ENUM_MAX_M: one multinomial per type over
+      the type's exact density.  Both are distributed identically to
       per-draw sampling and far faster at gadget scales.
     - larger m: per-draw sampling into positions (``_drawn_positions``).
       A Mallows profile takes all its uniforms in one batch and decodes
@@ -793,57 +858,29 @@ def sample_tally(pp: ParameterProfile, rng: np.random.Generator) -> Tally:
 
     For m <= SAMPLE_ENUM_MAX_M the tally is read off the m! counts.  Above
     it, the same per-draw positions as ``sample_profile`` are tallied
-    directly (``_positions_tally``), without vote rows or a sort.
+    directly (``_positions_tally``), without vote rows or a sort.  Mallows
+    noise around an election is ``mallows_parameter_profile``'s profile.
     """
     if pp.m <= SAMPLE_ENUM_MAX_M:
         return _counts_tally(pp.m, _enumerated_counts(pp, rng))
     return _positions_tally(*_drawn_positions(pp, rng))
 
 
-def _require_integral(pp: ParameterProfile) -> None:
+def _integral_counts(pp: ParameterProfile) -> np.ndarray:
+    """The weights of an integral profile as int64 counts."""
     if not pp.is_integral:
         raise ValueError("sampling requires an integral parameter profile")
+    return pp.weights.astype(np.int64, copy=False)
 
 
 def _enumerated_counts(pp: ParameterProfile, rng: np.random.Generator) -> np.ndarray:
     """Counts over ``all_rankings(pp.m)`` of one draw per unit of weight."""
-    if pp.family != "pl":
+    if pp.thetas is None:
         return _profile_sampler(pp)(rng)
-    _require_integral(pp)
     counts = np.zeros(factorial(pp.m), dtype=np.int64)
-    for param, w in pp.entries:
-        counts += rng.multinomial(int(w), _pmf_vector(param))
+    for (param, _), w in zip(pp.entries, _integral_counts(pp).tolist()):
+        counts += rng.multinomial(w, _density(param))
     return counts
-
-
-def _mallows_arrays(pp: ParameterProfile) -> tuple[np.ndarray, np.ndarray, list]:
-    """Int16 (T, m) centrals, int64 counts and the dispersions of the types
-    of an integral Mallows profile."""
-    _require_integral(pp)
-    centrals = np.array([p.central.order for p, _ in pp.entries], dtype=np.int16)
-    counts = np.array([int(w) for _, w in pp.entries], dtype=np.int64)
-    return centrals.reshape(-1, pp.m), counts, [p.phi for p, _ in pp.entries]
-
-
-@lru_cache(maxsize=1)
-def _profile_sampler(pp: ParameterProfile) -> Callable[[np.random.Generator], np.ndarray]:
-    """The Mallows sampler of an integral profile.  ParameterProfile is
-    immutable and hashes by identity, so the trials on one profile build
-    its arrays once."""
-    return _mallows_sampler(*_mallows_arrays(pp))
-
-
-@lru_cache(maxsize=1)
-def _positions_arrays(pp: ParameterProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only centrals, counts and float dispersions that
-    ``_mallows_positions`` draws an integral Mallows profile from, for m
-    above SAMPLE_ENUM_MAX_M; built once per profile, as ``_profile_sampler``
-    builds the m <= SAMPLE_ENUM_MAX_M sampler."""
-    centrals, counts, phis = _mallows_arrays(pp)
-    arrays = centrals, counts, np.array([float(p) for p in phis], dtype=np.float64)
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
 
 
 def _drawn_positions(
@@ -852,16 +889,16 @@ def _drawn_positions(
     """Per-draw sampling, for m above SAMPLE_ENUM_MAX_M, as the
     ``(centrals, entry, pos)`` that ``_positions_profile`` and
     ``_positions_tally`` read."""
-    m = pp.m
-    if pp.family == "pl":
-        _require_integral(pp)
-        rows = [pl_sample(p, rng).order for p, w in pp.entries for _ in range(int(w))]
-        votes = np.array(rows, dtype=np.int16).reshape(-1, m)
+    counts = _integral_counts(pp)
+    if pp.thetas is not None:
+        rows = [pl_sample(p, rng).order
+                for (p, _), w in zip(pp.entries, counts.tolist()) for _ in range(w)]
+        votes = np.array(rows, dtype=np.int16).reshape(-1, pp.m)
         # each vote is its own central, read in order
-        order = np.broadcast_to(np.arange(m, dtype=np.int16), votes.shape)
+        order = np.broadcast_to(np.arange(pp.m, dtype=np.int16), votes.shape)
         return votes, np.arange(len(votes)), order
-    centrals, counts, phis = _positions_arrays(pp)
-    return centrals, *_mallows_positions(centrals, counts, phis, rng)
+    phis = np.array([float(phi) for phi in pp.phis], dtype=np.float64)[pp.phi_index]
+    return pp.centrals, *_mallows_positions(pp.centrals, counts, phis, rng)
 
 
 def _tallied_profile(m: int, counts: np.ndarray) -> Profile:
@@ -892,35 +929,10 @@ def _counts_tally(m: int, counts: np.ndarray) -> Tally:
 
 
 def mallows_parameter_profile(central: Profile, phi) -> ParameterProfile:
-    """Per-voter Mallows parameters with a shared dispersion."""
-    pairs = [(MallowsParam(r, phi), w) for r, w in central.entries()]
-    return ParameterProfile.from_entries(central.m, pairs)
-
-
-def sample_mallows_around(central: Profile, phi, rng: np.random.Generator) -> Tally:
-    """The tally of one Mallows vote drawn around each unit of weight of an
-    integral profile, all at dispersion ``phi``.
-
-    Returns ``sample_tally(mallows_parameter_profile(central, phi), rng)``
-    bit for bit, with the same RNG draws, but builds no parameter objects
-    and no profile.  The aggregated central rows are unique, lexicographic
-    and nonzero, the order ``ParameterProfile.from_entries`` sorts the
-    parameters into, so they go to the same sampling kernel as they are,
-    and its counts (m <= SAMPLE_ENUM_MAX_M) or positions (above) are
-    tallied directly.
-    """
-    phi = _checked_phi(phi)
-    m = central.m
-    central = central.aggregated()
-    if not central.is_integral:
-        raise ValueError("sampling requires an integral parameter profile")
-    weights = central.weights
-    if weights.dtype == object:
-        counts = np.array([int(w) for w in weights.tolist()], dtype=np.int64)
-    else:
-        counts = weights.astype(np.int64)
-    if m <= SAMPLE_ENUM_MAX_M:
-        draw = _mallows_sampler(central.votes, counts, [phi] * len(counts))
-        return _counts_tally(m, draw(rng))
-    phis = np.full(len(counts), float(phi))
-    return _positions_tally(central.votes, *_mallows_positions(central.votes, counts, phis, rng))
+    """Per-voter Mallows parameters with a shared dispersion.  The rows of
+    ``central.aggregated()`` are unique, nonzero and lexicographic, the
+    merged order of a parameter profile, so they are the types as they are."""
+    agg = central.aggregated()
+    phis = (_checked_phi(phi),) if len(agg) else ()
+    index = np.zeros(len(agg), dtype=np.intp)
+    return ParameterProfile(central.m, agg.weights, agg.votes, phis, index)

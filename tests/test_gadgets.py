@@ -315,6 +315,61 @@ def test_round_cap_enforced():
         round_to_integral(pp, 20, max_n=1_000_000)
 
 
+# sha256 of format_parameter_profile, and of expected_wmg(pp).matrix.tobytes()
+# for float dispersions, recorded from the per-object gadget construction that
+# built, hashed and sorted one parameter object per type; they pin the type
+# order, every weight, and the order in which float margins are added; keyed
+# by the text of the dispersion, since 0.5 == Fraction(1, 2)
+GADGET_DIGESTS = {
+    ("eulerian", "0.5", False): (
+        "62e7e5667a7261eb0eb254d739dfe443f32f56f6f1cc30392241d16ab3a85bda",
+        "36beea365ac64b124112252430988b2d5c0335feca2086139e72f71c26214c06"),
+    ("eulerian", "0.5", True): (
+        "acf236c4821ded36c6d4d459fdc7fe6408dbc540e59f7d7fdff99590dce2dd5e",
+        "1558ded4e40b4e3ff95255cfd65b40bbe5e2de1485af41fa526e674a35222437"),
+    ("eulerian", "1/2", False): (
+        "02bc381a8848b62294235b2fb609cebec357b3e23d03d61de7cb650fb0147cde", None),
+    ("eulerian", "1/2", True): (
+        "3f00368c40cd3bb9658031b5b5c76c90294b9739a54066b3345542fa488f24b4", None),
+    ("tournament", "0.5", False): (
+        "944790b360958d8065a2e30188b2fc441d0067daa72776aa020c4750346821f8",
+        "906c9948c7f6a78d94cdd928bfe7c1be4e03da68624f7da6f840856400d37f0e"),
+    ("tournament", "0.5", True): (
+        "d3d6816d4efcbe822b2cfb65d79da2c248760004f995e97ce8540a5ed8d9edbb",
+        "06a185e8e6dc258367084d2bbfe17b431269e5d26cab0eaf82a59404c8622db0"),
+    ("tournament", "1/2", False): (
+        "e69b3a020c5c2c6a8b3f72a8bad2bd44ae5665d6c8f214d0c3b3da7ed473f416", None),
+    ("tournament", "1/2", True): (
+        "cddf15b532cd6dcf1771fdbffe021eb2cfa5e76323be9b64c3c79bfda9cdba85", None),
+}
+
+
+@pytest.mark.parametrize("kind", ["eulerian", "tournament"])
+@pytest.mark.parametrize("phi", [0.5, HALF])
+def test_gadget_profiles_are_pinned(kind, phi):
+    # two disjoint triangles at m = 6; a seeded random tournament at m = 5
+    import hashlib
+
+    from votelab.formats import format_parameter_profile
+
+    if kind == "eulerian":
+        g = Digraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        pp = build_eulerian_profile(g, mallows_witness(6, phi))
+    else:
+        rng = np.random.default_rng(5)
+        g = Digraph.from_edges(5, [(a, b) if rng.random() < 0.5 else (b, a)
+                                   for a in range(5) for b in range(a + 1, 5)])
+        pp = build_tournament_profile(g, mallows_witness(5, phi), mallows_witness(5, phi))
+    for rounded in (False, True):
+        q = round_to_integral(pp, 6) if rounded else pp
+        text, matrix = GADGET_DIGESTS[kind, str(phi), rounded]
+        assert hashlib.sha256(format_parameter_profile(q).encode()).hexdigest() == text
+        w = expected_wmg(q)
+        assert w.is_exact == isinstance(phi, Fraction)
+        if matrix is not None:
+            assert hashlib.sha256(w.matrix.tobytes()).hexdigest() == matrix
+
+
 # ---------------------------------------------------------------------------
 # witness reports
 # ---------------------------------------------------------------------------

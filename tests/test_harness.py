@@ -221,6 +221,28 @@ def test_checks_build_no_profile_per_trial(monkeypatch, m):
         assert len(rows) == 3
 
 
+@pytest.mark.parametrize("m", [6, 8])
+def test_checks_aggregate_an_unaggregated_central_once(monkeypatch, m):
+    """A central given as plain rows is aggregated once per check, when its
+    noise profile is built, not once per trial."""
+    from votelab import core
+
+    rng = np.random.default_rng(41)
+    rows = [tuple(rng.permutation(m).tolist()) for _ in range(40)]
+    central = Profile.from_rankings(rows + rows[:10])
+    built = []
+    post_init = core.Profile.__post_init__
+    monkeypatch.setattr(core.Profile, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    for check, experiment in ((avg_kt_concentration_check, "concentration"),
+                              (dp_smoothed_check, "dp-envelope")):
+        cfg = ExperimentConfig(experiment=experiment, m=m, n=len(central), phi=0.3, t=2.0,
+                               trials=5, seed=42)
+        built.clear()
+        _, trial_rows = check(cfg, central=central)
+        assert len(trial_rows) == 5 and len(built) == 1
+
+
 # ---------------------------------------------------------------------------
 # dp envelope check
 # ---------------------------------------------------------------------------
@@ -471,7 +493,8 @@ def run_cli(*args):
 
 
 def test_startup_does_not_import_scipy_stats():
-    # scipy.stats takes about a second to import; only chi_square_gof needs it
+    # scipy.stats takes about a second to import, and scipy is a test-only
+    # extra: the CLI and the harness must start without loading it
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, votelab.cli, votelab.harness; print('scipy.stats' in sys.modules)"],

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sp_stats
 
 from votelab.core import Permutation, Profile, Ranking, Tally, all_rankings, kt_distance, permute
@@ -25,11 +26,9 @@ from votelab.models import (
     mallows_sample,
     mallows_z,
     mean_expected_kt_bound,
-    permute_param,
     pl_pairwise,
     pl_pmf,
     pl_sample,
-    sample_mallows_around,
     sample_profile,
     sample_tally,
 )
@@ -287,6 +286,41 @@ def test_expected_wmg_profile_linearity():
     assert w.equals(manual)
 
 
+def _per_type_wmg(pp):
+    """Reference: the left-to-right sum of per-type graphs times weights."""
+    from votelab.core import WeightedMajorityGraph
+
+    exact = all(isinstance(w, (Fraction, int)) for _, w in pp.entries) and all(
+        expected_wmg(p).is_exact for p, _ in pp.entries)
+    total = WeightedMajorityGraph.zero(pp.m, exact=exact)
+    for p, w in pp.entries:
+        total = total + expected_wmg(p) * w
+    return total
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_expected_wmg_profile_is_the_per_type_sum_bit_for_bit(m):
+    # float and exact dispersions, utilities and weights, alone and mixed
+    rng = np.random.default_rng(m)
+    profiles = []
+    for ws in [(0.3, 1.7, 2.25, 0.1), (1, 3, 2, 7), (HALF, Fraction(7, 3), 1, 2),
+               (0.3, Fraction(7, 3), 1, 2)]:
+        for phis in [(0.5, 0.3), (HALF, Fraction(1, 3)), (0.5, HALF)]:
+            profiles.append(ParameterProfile.from_entries(m, [
+                (MallowsParam(Ranking(tuple(rng.permutation(m).tolist())), phis[i % 2]), w)
+                for i, w in enumerate(ws)]))
+        utilities = [(rng.random(m) + 0.1).tolist(), [Fraction(k + 1) for k in range(m)]]
+        profiles.append(ParameterProfile.from_entries(m, [
+            (PlackettLuceParam.from_utilities(utilities[i % 2]), w) for i, w in enumerate(ws)]))
+    for pp in profiles:
+        got, want = expected_wmg(pp).matrix, _per_type_wmg(pp).matrix
+        assert got.dtype == want.dtype
+        if got.dtype == object:
+            assert repr(got.tolist()) == repr(want.tolist())
+        else:
+            assert got.tobytes() == want.tobytes()
+
+
 def test_expected_wmg_sampling_cross_check():
     # Monte Carlo within 4 sigma of the closed form
     param = MallowsParam(ladder(3), 0.5)
@@ -317,7 +351,7 @@ def test_model_neutrality():
 
         for _ in range(10):
             sigma = Permutation(tuple(rng.permutation(4).tolist()))
-            moved = permute_param(sigma, param)
+            moved = ParameterProfile.from_entries(4, [(param, 1)]).permuted(sigma).entries[0][0]
             for r in all_rankings(4):
                 assert param_pmf(param, r) == pytest.approx(
                     float(param_pmf(moved, permute(sigma, r))), abs=1e-12
@@ -460,23 +494,23 @@ def test_sample_tally_is_the_tally_of_sample_profile(m, family):
     assert rng_tally.bit_generator.state == rng_profile.bit_generator.state
 
 
-def test_sample_tally_builds_m8_arrays_once_per_profile():
-    from votelab import models
-
+def test_sample_tally_builds_m8_arrays_once_per_profile(monkeypatch):
+    # the profile holds its types as read-only arrays; m = 8 draws read
+    # them as they are, never through the (parameter, weight) view
     rng = np.random.default_rng(8)
     entries = [(MallowsParam(Ranking(tuple(rng.permutation(8).tolist())), phi), w)
                for w, phi in zip((3, 1, 12, 5, 2, 7), (0.3, HALF) * 3)]
     pp = ParameterProfile.from_entries(8, entries)
-    uncached = []
+    assert not any(a.flags.writeable for a in (pp.centrals, pp.phi_index, pp.weights))
+    assert pp.centrals.dtype == np.int16 and len(pp.phis) == 2
+    want = [sample_tally(pp, np.random.default_rng(seed)) for seed in range(4)]
+
+    def refuse(self):
+        raise AssertionError("sampling read the parameter objects")
+
+    monkeypatch.setattr(ParameterProfile, "entries", property(refuse))
     for seed in range(4):
-        models._positions_arrays.cache_clear()
-        uncached.append(sample_tally(pp, np.random.default_rng(seed)))
-    models._positions_arrays.cache_clear()
-    for seed in range(4):
-        _assert_same_tally(sample_tally(pp, np.random.default_rng(seed)), uncached[seed])
-    info = models._positions_arrays.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
-    assert not any(a.flags.writeable for a in models._positions_arrays(pp))
+        _assert_same_tally(sample_tally(pp, np.random.default_rng(seed)), want[seed])
 
 
 @pytest.mark.parametrize("family", ["mallows", "pl"])
@@ -607,6 +641,53 @@ def test_parameter_profile_family_mix_rejected():
         )
 
 
+def _reference_sort_key(param):
+    if isinstance(param, MallowsParam):
+        return (0, param.central.order, float(param.phi), str(param.phi))
+    return (1, tuple(float(t) for t in param.theta), str(param.theta))
+
+
+def _reference_from_entries(pairs):
+    """Reference: the dict-and-sort aggregation of one parameter object per
+    type.  Equal parameters merge under the first one seen, weights add in
+    order from 0, zero weights drop, and the rest sort by
+    ``_reference_sort_key``."""
+    acc = {}
+    for p, w in pairs:
+        acc[p] = acc.get(p, 0) + w
+    items = [(p, w) for p, w in acc.items() if w != 0]
+    items.sort(key=lambda pw: _reference_sort_key(pw[0]))
+    return items
+
+
+# equal values of different types (0.5 and 1/2, 1 and 1.0, 1/3 as a float and
+# as that float's Fraction) and unequal ones with the same float (1/3 and 1 / 3)
+_ORACLE_PHIS = [0.5, HALF, 0.25, Fraction(1, 3), 1 / 3, Fraction(1 / 3), 1, 1.0]
+_ORACLE_WEIGHTS = [0, 0.0, 1, 2, 0.5, HALF, Fraction(3, 4), 1.5]
+# (2, 1, 1) and (2.0, 1, 1) normalize to equal Fraction and float utilities
+_ORACLE_UTILITIES = [(1, 1, 1), (2, 1, 1), (2.0, 1, 1), (3, 2, 1), (3.0, 2.0, 1.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_from_entries_matches_dict_and_sort_reference(data):
+    from votelab.core import weight_array
+
+    if data.draw(st.booleans(), label="mallows"):
+        param = st.builds(lambda r, phi: MallowsParam(Ranking(tuple(r)), phi),
+                          st.permutations(range(3)), st.sampled_from(_ORACLE_PHIS))
+    else:
+        param = st.builds(lambda u, r: PlackettLuceParam.from_utilities([u[i] for i in r]),
+                          st.sampled_from(_ORACLE_UTILITIES), st.permutations(range(3)))
+    pairs = data.draw(st.lists(st.tuples(param, st.sampled_from(_ORACLE_WEIGHTS)), max_size=14))
+    got = ParameterProfile.from_entries(3, pairs)
+    want = _reference_from_entries(pairs)
+    assert repr([p for p, _ in got.entries]) == repr([p for p, _ in want])
+    packed = weight_array([w for _, w in want])
+    assert got.weights.dtype == packed.dtype
+    assert repr(got.weights.tolist()) == repr(packed.tolist())
+
+
 def test_parameter_profile_round_trip_mallows():
     pp = ParameterProfile.from_entries(
         4,
@@ -650,9 +731,8 @@ def _per_ranking_pmf(param):
 
 
 def test_pmf_vector_bit_identical_to_per_ranking_density():
-    from votelab.models import _pmf_vector
+    from votelab.models import _density as pmf
 
-    pmf = _pmf_vector.__wrapped__  # the kernel itself, not a cached vector of an equal param
     rng = np.random.default_rng(29)
     for m in range(2, 8):
         for phi in (HALF, Fraction(1), Fraction(2, 7), 0.3, 1.0, 0.77):
@@ -664,43 +744,21 @@ def test_pmf_vector_bit_identical_to_per_ranking_density():
 
 def test_pmf_vector_rounds_fraction_and_float_phi_as_the_density_does():
     # Fraction(0.1) == 0.1, but the exact density rounds once, the float one per step
-    from votelab.models import _pmf_vector
+    from votelab.models import _density
 
-    exact = _pmf_vector.__wrapped__(MallowsParam(ladder(6), Fraction(0.1)))
-    approx = _pmf_vector.__wrapped__(MallowsParam(ladder(6), 0.1))
+    exact = _density(MallowsParam(ladder(6), Fraction(0.1)))
+    approx = _density(MallowsParam(ladder(6), 0.1))
     assert exact.tobytes() == _per_ranking_pmf(MallowsParam(ladder(6), Fraction(0.1))).tobytes()
     assert approx.tobytes() == _per_ranking_pmf(MallowsParam(ladder(6), 0.1)).tobytes()
     assert exact.tobytes() != approx.tobytes()
 
 
-def test_pmf_cache_keeps_every_type_of_a_resampled_profile():
-    # 240 Plackett-Luce types (two utility vectors, every relabeling at m=5):
-    # sampling the profile again must hit the cache for every type, not
-    # evict them cyclically
-    from itertools import permutations
-
-    from votelab.models import SAMPLE_ENUM_MAX_M, _pmf_vector
-
-    assert _pmf_vector.cache_info().maxsize == math.factorial(SAMPLE_ENUM_MAX_M)
-    pp = ParameterProfile.from_entries(5, [
-        (permute_param(Permutation(sigma), PlackettLuceParam.from_utilities(u)), 1)
-        for sigma in permutations(range(5)) for u in ((5.0, 4, 3, 2, 1), (9.0, 4, 3, 2, 1))
-    ])
-    assert pp.type_count == 240
-    rng = np.random.default_rng(41)
-    sample_profile(pp, rng)
-    before = _pmf_vector.cache_info()
-    sample_profile(pp, rng)
-    after = _pmf_vector.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (240, 0)
-
-
 def test_resampled_mallows_profile_rebuilds_no_table():
     # 1,440 types (two dispersions, every central at m=6): sampling the
-    # profile again builds no alias or relabel table and no per-type density
+    # profile again builds no alias or relabel table
     from itertools import permutations
 
-    from votelab.models import _alias_table, _pmf_vector, _relabel_table
+    from votelab.models import _alias_table, _relabel_table
 
     pp = ParameterProfile.from_entries(6, [
         (MallowsParam(Ranking(r), phi), 1)
@@ -708,12 +766,11 @@ def test_resampled_mallows_profile_rebuilds_no_table():
     ])
     rng = np.random.default_rng(41)
     sample_profile(pp, rng)
-    caches = (_alias_table, _relabel_table, _pmf_vector)
+    caches = (_alias_table, _relabel_table)
     before = [c.cache_info() for c in caches]
     sample_profile(pp, rng)
     after = [c.cache_info() for c in caches]
-    assert [a.misses - b.misses for a, b in zip(after, before)] == [0, 0, 0]
-    assert after[2].hits == before[2].hits
+    assert [a.misses - b.misses for a, b in zip(after, before)] == [0, 0]
 
 
 def test_pairwise_cache_is_bounded_and_typed():
@@ -731,6 +788,16 @@ def _aggregated_rows(rows):
     return sorted(tally.items())
 
 
+def _unmerged(m, entries):
+    """The Mallows profile of ``entries`` as given: in this order, with
+    duplicates and zero weights kept."""
+    from votelab.models import _typed_index
+
+    phis, index = _typed_index(p.phi for p, _ in entries)
+    centrals = np.array([p.central.order for p, _ in entries], dtype=np.int16).reshape(-1, m)
+    return ParameterProfile(m, [w for _, w in entries], centrals, phis, index)
+
+
 @pytest.mark.parametrize("m", [8, 9])
 def test_batched_sampler_matches_scalar_draws(m):
     # weights 0, 1 and > 1; two distinct float dispersions, one given as a Fraction
@@ -741,7 +808,7 @@ def test_batched_sampler_matches_scalar_draws(m):
         (MallowsParam(Ranking(tuple(rng.permutation(m).tolist())), phi), w)
         for phi, w in zip(phis, weights)
     )
-    pp = ParameterProfile(m, entries)
+    pp = _unmerged(m, entries)
     fast_rng, slow_rng = np.random.default_rng(11), np.random.default_rng(11)
     prof = sample_profile(pp, fast_rng)
     rows = [mallows_sample(p, slow_rng).order for p, w in entries for _ in range(w)]
@@ -754,7 +821,7 @@ def test_batched_sampler_matches_scalar_draws(m):
 
 
 def test_batched_sampler_empty_profile():
-    pp = ParameterProfile(8, ((MallowsParam(ladder(8), 0.5), 0),))
+    pp = _unmerged(8, [(MallowsParam(ladder(8), 0.5), 0)])
     rng = np.random.default_rng(4)
     prof = sample_profile(pp, rng)
     assert len(prof) == 0 and prof.m == 8
@@ -780,7 +847,7 @@ def test_batched_sampler_breaks_exact_ties_like_scalar_loop():
     # cumulative weight, where the scalar loop moves on to the next slot
     uniforms = [0.5, 0.25, 0.75, 0.0, 0.125, 0.5]
     entries = ((MallowsParam(ladder(8), 1.0), 7), (MallowsParam(ladder(8).reversed(), 0.5), 7))
-    pp = ParameterProfile(8, entries)
+    pp = _unmerged(8, entries)
     prof = sample_profile(pp, _ScriptedUniforms(uniforms))
     scalar = _ScriptedUniforms(uniforms)
     rows = [mallows_sample(p, scalar).order for p, w in entries for _ in range(w)]
@@ -790,7 +857,7 @@ def test_batched_sampler_breaks_exact_ties_like_scalar_loop():
 
 
 # ---------------------------------------------------------------------------
-# sampling straight from a central profile
+# Mallows noise around a central profile
 # ---------------------------------------------------------------------------
 
 
@@ -808,78 +875,98 @@ def _assert_same_tally(got, want):
         assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
 
 
-def _assert_same_sample(central, phi, seed=7):
-    # sample_tally is tied to sample_profile by test_sample_tally_is_the_tally_of_sample_profile
+def _noise_from_entries(central, phi):
+    """Reference: one Mallows parameter per vote row, merged by ``from_entries``."""
+    return ParameterProfile.from_entries(
+        central.m, [(MallowsParam(r, phi), w) for r, w in central.entries()])
+
+
+def _assert_same_noise(central, phi, seed=7):
+    # the array build equals the object-level build, type for type, and
+    # draws the same tally from the same stream (sample_tally is tied to
+    # sample_profile by test_sample_tally_is_the_tally_of_sample_profile)
+    got, want = mallows_parameter_profile(central, phi), _noise_from_entries(central, phi)
+    assert np.array_equal(got.centrals, want.centrals) and got.centrals.dtype == np.int16
+    assert repr(got.phis) == repr(want.phis)
+    assert np.array_equal(got.phi_index, want.phi_index)
+    assert got.weights.dtype == want.weights.dtype
+    assert repr(got.weights.tolist()) == repr(want.weights.tolist())
+    assert repr(got.entries) == repr(want.entries)
     new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = sample_mallows_around(central, phi, new_rng)
-    _assert_same_tally(got, sample_tally(mallows_parameter_profile(central, phi), ref_rng))
+    _assert_same_tally(sample_tally(got, new_rng), sample_tally(want, ref_rng))
     assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("m", range(3, 10))
 @pytest.mark.parametrize("phi", [0.5, Fraction(1, 3), 1, 1.0, 0.05])
-def test_sample_mallows_around_matches_parameter_profile_sampling(m, phi):
-    _assert_same_sample(_unaggregated_central(m, np.random.default_rng(100 + m)), phi)
+def test_mallows_parameter_profile_matches_from_entries(m, phi):
+    _assert_same_noise(_unaggregated_central(m, np.random.default_rng(100 + m)), phi)
 
 
 @pytest.mark.parametrize("m", [5, 8])
-def test_sample_mallows_around_edge_centrals(m):
+def test_mallows_parameter_profile_edge_centrals(m):
     # an aggregated random electorate, exact integral Fraction weights (two
     # halves of one row add up to a whole voter), an all-zero and an empty profile
     rng = np.random.default_rng(m)
     votes = rng.permuted(np.tile(np.arange(m, dtype=np.int16), (300, 1)), axis=1)
-    _assert_same_sample(Profile(m, votes, np.ones(300, dtype=np.int64)).aggregated(), 0.4)
+    _assert_same_noise(Profile(m, votes, np.ones(300, dtype=np.int64)).aggregated(), 0.4)
     rows = [tuple(rng.permutation(m).tolist()) for _ in range(2)]
     halves = Profile.from_rankings([rows[0], rows[1], rows[0]], [HALF, Fraction(3), HALF], m=m)
     assert halves.weights.dtype == object
-    _assert_same_sample(halves, HALF)
-    _assert_same_sample(Profile.from_rankings(rows, [0, 0], m=m), 0.4)
-    _assert_same_sample(Profile.empty(m), 0.4)
+    _assert_same_noise(halves, HALF)
+    _assert_same_noise(Profile.from_rankings(rows, [0, 0], m=m), 0.4)
+    _assert_same_noise(Profile.empty(m), 0.4)
 
 
 @pytest.mark.parametrize("m", [5, 8])
-def test_sample_mallows_around_rejects_what_sample_profile_rejects(m):
+def test_mallows_parameter_profile_rejects_what_from_entries_rejects(m):
     rng = np.random.default_rng(m)
     rows = [tuple(rng.permutation(m).tolist()) for _ in range(2)]
     for weights in ([1, HALF], [1.0, 2.0]):
         central = Profile.from_rankings(rows, weights, m=m)
         with pytest.raises(ValueError) as want:
-            sample_profile(mallows_parameter_profile(central, 0.5), np.random.default_rng(0))
+            sample_tally(_noise_from_entries(central, 0.5), np.random.default_rng(0))
         with pytest.raises(ValueError) as got:
-            sample_mallows_around(central, 0.5, np.random.default_rng(0))
+            sample_tally(mallows_parameter_profile(central, 0.5), np.random.default_rng(0))
         assert str(got.value) == str(want.value)
     central = Profile.from_rankings(rows, m=m)
     for phi in (0, 1.5, -1):
         with pytest.raises(ValueError) as want:
-            mallows_parameter_profile(central, phi)
+            _noise_from_entries(central, phi)
         with pytest.raises(ValueError) as got:
-            sample_mallows_around(central, phi, np.random.default_rng(0))
+            mallows_parameter_profile(central, phi)
         assert str(got.value) == str(want.value)
 
 
-def test_sample_mallows_around_builds_tables_once_per_central(monkeypatch):
+def test_mallows_parameter_profile_builds_tables_once_per_profile(monkeypatch):
     from votelab import models
-    from votelab.models import _alias_table, _relabel_table
+    from votelab.models import _alias_table, _profile_sampler, _relabel_table
 
     central = _unaggregated_central(6, np.random.default_rng(3))
+    noise = mallows_parameter_profile(central, 0.1)
     rng = np.random.default_rng(0)
-    sample_mallows_around(central, 0.1, rng)
-    before = [c.cache_info() for c in (_alias_table, _relabel_table)]
-    sample_mallows_around(central, 0.1, rng)
-    sample_mallows_around(central, 0.1, rng)
-    mid = [c.cache_info() for c in (_alias_table, _relabel_table)]
-    assert [(a.hits - b.hits, a.misses - b.misses) for a, b in zip(mid, before)] == [(2, 0)] * 2
-    assert mid[1].maxsize == 1
+    sample_tally(noise, rng)
+    before = [c.cache_info() for c in (_alias_table, _relabel_table, _profile_sampler)]
+    sample_tally(noise, rng)
+    sample_tally(noise, rng)
+    mid = [c.cache_info() for c in (_alias_table, _relabel_table, _profile_sampler)]
+    # the sampler of one profile is built once, so later draws look up no table
+    assert [(a.hits - b.hits, a.misses - b.misses) for a, b in zip(mid, before)] == [
+        (0, 0), (0, 0), (2, 0)]
+    # a new profile around the same central finds both tables
+    sample_tally(mallows_parameter_profile(central, 0.1), rng)
+    after = [c.cache_info() for c in (_alias_table, _relabel_table)]
+    assert [(a.hits - b.hits, a.misses - b.misses) for a, b in zip(after, mid)] == [(1, 0)] * 2
+    assert after[1].maxsize == 1
     # Fraction(0.1) == 0.1, but its draws keep their own exactness
-    _assert_same_sample(central, Fraction(0.1))
+    _assert_same_noise(central, Fraction(0.1))
     exact, approx = _alias_table(6, Fraction(0.1)), _alias_table(6, 0.1)
     assert exact[0].tobytes() != approx[0].tobytes()
-    assert _relabel_table.cache_info().misses == mid[1].misses
     looked_up = []
     monkeypatch.setattr(models, "_alias_table",
                         lambda m, phi: looked_up.append(phi) or _alias_table(m, phi))
-    sample_mallows_around(central, Fraction(0.1), rng)
-    sample_mallows_around(central, 0.1, rng)
+    sample_tally(mallows_parameter_profile(central, Fraction(0.1)), rng)
+    sample_tally(mallows_parameter_profile(central, 0.1), rng)
     assert [type(phi) for phi in looked_up] == [Fraction, float]
 
 
