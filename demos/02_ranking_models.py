@@ -58,7 +58,7 @@ prof = sample_profile(pp, np.random.default_rng(7))
 print("\nempirical margins over 2000 sampled voters:")
 print(wmg(prof).matrix)
 print("expectation times 2000:")
-print((expected_wmg(theta) * 2000).as_float().matrix.round(1))
+print((expected_wmg(theta) * 2000).matrix.astype(np.float64).round(1))
 
 # A Plackett-Luce electorate with one strong alternative.
 pl = PlackettLuceParam.from_utilities([Fraction(2), Fraction(3, 2), 1])

@@ -372,15 +372,6 @@ class WeightedMajorityGraph:
     def row_sums(self) -> np.ndarray:
         return self.matrix.sum(axis=1)
 
-    def check_antisymmetry(self, tol: float = WEIGHT_TOL) -> bool:
-        if self.is_exact:
-            return all(
-                self.matrix[a, b] == -self.matrix[b, a]
-                for a in range(self.m)
-                for b in range(self.m)
-            )
-        return bool(np.all(np.abs(self.matrix + self.matrix.T) <= tol))
-
     def __add__(self, other: "WeightedMajorityGraph") -> "WeightedMajorityGraph":
         if other.m != self.m:
             raise ValueError("mismatched m")
@@ -412,9 +403,6 @@ class WeightedMajorityGraph:
             return False
         diff = self.matrix - other.matrix
         return all(abs(x) <= tol for x in diff.ravel().tolist())
-
-    def as_float(self) -> "WeightedMajorityGraph":
-        return WeightedMajorityGraph(self.m, self.matrix.astype(np.float64))
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,8 @@ instances can never be answered YES.
 from __future__ import annotations
 
 import math
-import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -34,6 +33,7 @@ from .core import (
     Digraph,
     Permutation,
     Ranking,
+    Tally,
     Weight,
     WeightedMajorityGraph,
     kt_to_digraph,
@@ -491,10 +491,7 @@ def full_scale_exponent(k: int) -> int:
     return 11 + 2 * k
 
 
-#: pilot solves whose median op count estimates an instance's solve cost
-PILOT_SOLVES = 5
-
-#: a trial's solve budget, in multiples of that median
+#: a trial's solve budget, in multiples of the op count of its expected tally
 BUDGET_MULTIPLIER = 3
 
 
@@ -531,8 +528,7 @@ class ReductionOutcome:
     solver: str
     elapsed: float
     op_count: int
-    budget: int  # solve budget of the instance, in ops
-    pilot: int  # median pilot op count of the instance
+    budget: int  # the instance's, in ops: BUDGET_MULTIPLIER times its expected tally's ops
 
 
 def build_instance_profile(inst: FasInstance, cfg: ReductionConfig) -> ParameterProfile:
@@ -551,25 +547,38 @@ def _solver_for(kind: str, cfg: ReductionConfig):
     return get_solver(cfg.solver), cfg.solver
 
 
+def _expected_tally(ppi: ParameterProfile) -> Tally:
+    """The tally of an integral profile's expected election, without a vote.
+
+    N[a, b] = (n + margin[a, b]) / 2 rounded half to even for a < b, and
+    N[b, a] = n - N[a, b]; a voter places a at the number of alternatives
+    it ranks above a, so the position sums are N's column sums.  Margins
+    are read in float64: exact ones cost more than the solve they budget.
+    """
+    n = int(ppi.total_weight)
+    floats = replace(ppi, phis=tuple(map(float, ppi.phis)))
+    margin = expected_wmg(floats).matrix.astype(np.float64)
+    upper = np.triu(np.rint((n + margin) / 2).astype(np.int64), k=1)
+    n_tally = upper + np.tril(n - upper.T, k=-1)
+    return Tally(ppi.m, n, n_tally, n_tally.sum(axis=0), None)
+
+
 @lru_cache(maxsize=1)
 def _instance_plan(
     pp: ParameterProfile, kind: str, cfg: ReductionConfig
-) -> tuple[ParameterProfile, int, int]:
-    """The rounded profile, the median pilot op count and the solve budget
-    in ops shared by an instance's trials.
+) -> tuple[ParameterProfile, int]:
+    """The rounded profile and the solve budget in ops shared by an
+    instance's trials.
 
-    The pilots draw from their own fixed stream and are measured in ops,
-    so a trial's outcome depends only on (instance, cfg, trial rng).
+    The budget is ``BUDGET_MULTIPLIER`` times the op count of one solve of
+    the rounded profile's expected tally, which draws nothing, so a
+    trial's outcome depends only on (instance, cfg, trial rng).
     ParameterProfile is immutable and hashes by identity, so trials on one
-    prebuilt profile round it and run the pilots once.
+    prebuilt profile round it and set its budget once.
     """
     ppi = round_to_integral(pp, cfg.K, cfg.max_n)
     solver, _ = _solver_for(kind, cfg)
-    pilot_rng = np.random.default_rng(0)
-    pilot = statistics.median_low(
-        solver(sample_tally(ppi, pilot_rng)).op_count for _ in range(PILOT_SOLVES)
-    )
-    return ppi, pilot, BUDGET_MULTIPLIER * pilot
+    return ppi, BUDGET_MULTIPLIER * solver(_expected_tally(ppi)).op_count
 
 
 def run_reduction(
@@ -583,7 +592,8 @@ def run_reduction(
     Builds the gadget profile, rounds it to m^K voters, samples the tally
     of one election from ``rng``, solves Kemeny (Eulerian kind) or Slater
     (tournament kind) under a budget of ``BUDGET_MULTIPLIER`` times the
-    median op count of ``PILOT_SOLVES`` pilot solves, and answers YES only
+    op count of a solve of the rounded profile's expected tally (see
+    ``_expected_tally``), and answers YES only
     when the solve finishes within that budget and its ranking breaks at
     most t edges of the instance graph.  The answer check is against the
     instance graph itself, so a NO instance can never be certified YES.
@@ -591,17 +601,17 @@ def run_reduction(
     (instance, cfg, rng), never on machine load.
 
     ``prebuilt`` lets callers reuse the (deterministic) gadget profile
-    across repeated trials; the rounding and the pilot solves that set the
-    budget then run once for that profile, on their own RNG stream, and
-    each further trial samples and solves a single election.
+    across repeated trials; the rounding and the expected-tally solve that
+    set the budget then run once for that profile, and each further trial
+    samples and solves a single election.
     """
     g = inst.graph
+    solver, solver_name = _solver_for(inst.kind, cfg)
     if not g.edges:
         # empty graph is acyclic; every ranking certifies t >= 0
-        return ReductionOutcome("YES", True, 0, 0, cfg.solver, 0.0, 0, 0, 0)
+        return ReductionOutcome("YES", True, 0, 0, solver_name, 0.0, 0, 0)
     pp = prebuilt if prebuilt is not None else build_instance_profile(inst, cfg)
-    ppi, pilot, budget = _instance_plan(pp, inst.kind, cfg)
-    solver, solver_name = _solver_for(inst.kind, cfg)
+    ppi, budget = _instance_plan(pp, inst.kind, cfg)
 
     tally = sample_tally(ppi, rng)
     n = tally.n
@@ -609,11 +619,10 @@ def run_reduction(
     res = solve_with_budget(solver, tally, budget)
     elapsed = time.perf_counter() - start
     if isinstance(res, TimedOut):
-        return ReductionOutcome("NO", False, None, n, solver_name, elapsed, 0, budget, pilot)
+        return ReductionOutcome("NO", False, None, n, solver_name, elapsed, 0, budget)
     back = kt_to_digraph(res.ranking, g)
     answer = "YES" if back <= inst.t else "NO"
-    return ReductionOutcome(answer, True, back, n, solver_name, res.elapsed, res.op_count,
-                            budget, pilot)
+    return ReductionOutcome(answer, True, back, n, solver_name, res.elapsed, res.op_count, budget)
 
 
 # ---------------------------------------------------------------------------

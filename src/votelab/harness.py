@@ -520,10 +520,10 @@ def reduction_trials(
     The summary's answer amplifies the one-sided error: YES errors are
     impossible (the certificate is checked against the instance graph), so
     any YES trial certifies a YES answer.  Each row carries the trial's
-    solve budget in ops as ``budget_ops`` and the median pilot op count it
-    was set from as ``pilot_ops``; both belong to the instance, so they are
-    the same in every row.  ``elapsed_ms`` is informational: no answer
-    depends on it.
+    solve budget in ops as ``budget_ops``, ``BUDGET_MULTIPLIER`` times the
+    op count of the instance's expected tally; it belongs to the instance,
+    so it is the same in every row.  ``elapsed_ms`` is informational: no
+    answer depends on it.
     """
     pp = build_instance_profile(inst, rcfg)
     rows = []
@@ -544,7 +544,6 @@ def reduction_trials(
                 "answer": out.answer,
                 "back_edges": out.back_edges,
                 "budget_ops": out.budget,
-                "pilot_ops": out.pilot,
             }
         )
     summary = {

@@ -39,6 +39,7 @@ from votelab.gadgets import (
 )
 from votelab.formats import format_fas, parse_fas
 from votelab.graph_algebra import three_cycle
+from votelab.harness import reduction_trials
 from votelab.models import (
     MallowsParam,
     ParameterProfile,
@@ -49,6 +50,7 @@ from votelab.models import (
     sample_profile,
     sample_tally,
 )
+from votelab.solvers import kemeny_dp
 
 HALF = Fraction(1, 2)
 PHIS_EXACT = [Fraction(3, 10), Fraction(1, 2), Fraction(4, 5)]
@@ -441,14 +443,14 @@ def test_sampled_wmg_concentration_envelope():
     rounded = round_to_integral(pp, 7, max_n=20_000)
     n = int(rounded.total_weight)
     assert n >= 10_000
-    mean = expected_wmg(rounded).as_float()
+    mean = expected_wmg(rounded).matrix.astype(np.float64)
     trials = 1000
     radius = 6.0 * math.sqrt(n)
     exceed = 0
     for trial in range(trials):
         rng = np.random.default_rng([1234, trial])
         prof = sample_profile(rounded, rng)
-        dev = np.abs(wmg(prof).matrix - mean.matrix).max()
+        dev = np.abs(wmg(prof).matrix - mean).max()
         exceed += dev > radius
     assert exceed / trials < 0.01
 
@@ -544,19 +546,32 @@ def test_reduction_empty_graph_trivial_yes():
     assert out.answer == "YES"
 
 
+@pytest.mark.parametrize("kind, solver, label", [
+    ("eulerian", "brute", "brute"),
+    ("tournament", "dp", "slater-brute"),
+])
+def test_reduction_empty_graph_names_its_route_solver(kind, solver, label):
+    # one alternative and no edges is both Eulerian and a tournament
+    inst = FasInstance(Digraph.from_edges(1, []), 0, kind)
+    out = run_reduction(inst, ReductionConfig(K=3, solver=solver), np.random.default_rng(0))
+    assert (out.answer, out.solver) == ("YES", label)
+
+
 def test_reduction_outcome_fields():
     inst = FasInstance(TRIANGLE, 1, "eulerian")
     cfg = ReductionConfig(K=6)
     out = run_reduction(inst, cfg, np.random.default_rng(1))
     assert out.n > 0 and out.finished and out.back_edges == 1
-    # the budget is a multiple of the median pilot op count, in ops
-    assert out.pilot > 0 and out.budget == gadgets.BUDGET_MULTIPLIER * out.pilot
+    # the budget is a multiple of the op count of the expected tally, in ops
+    ppi = round_to_integral(build_instance_profile(inst, cfg), cfg.K)
+    expected_ops = kemeny_dp(gadgets._expected_tally(ppi)).op_count
+    assert expected_ops > 0 and out.budget == gadgets.BUDGET_MULTIPLIER * expected_ops
     assert out.op_count <= out.budget
 
 
-def test_reduction_pilots_run_once_per_instance(monkeypatch):
-    # the budget belongs to the instance, so three trials on one prebuilt
-    # profile sample the pilots once plus one election each
+def test_reduction_plan_draws_nothing(monkeypatch):
+    # the budget belongs to the instance and comes from its expected tally,
+    # so three trials on one prebuilt profile sample three elections
     calls = []
 
     def counting(pp, rng):
@@ -570,8 +585,79 @@ def test_reduction_pilots_run_once_per_instance(monkeypatch):
     pp = build_instance_profile(inst, cfg)
     budgets = {run_reduction(inst, cfg, np.random.default_rng([58, i]), prebuilt=pp).budget
                for i in range(3)}
-    assert len(calls) == gadgets.PILOT_SOLVES + 3
+    assert len(calls) == 3
     assert len(budgets) == 1
+
+
+def _gadget_instances(m):
+    """One or two triangles (Eulerian) and a seeded random tournament on m
+    alternatives, each with t at its optimum."""
+    edges = [(0, 1), (1, 2), (2, 0)] + ([(3, 4), (4, 5), (5, 3)] if m >= 6 else [])
+    rng = np.random.default_rng(5)
+    tour = Digraph.from_edges(m, [(a, b) if rng.random() < 0.5 else (b, a)
+                                  for a in range(m) for b in range(a + 1, m)])
+    return [FasInstance(Digraph.from_edges(m, edges), len(edges) // 3, "eulerian"),
+            FasInstance(tour, fas_optimum(tour), "tournament")]
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_expected_tally_identities(m):
+    for inst in _gadget_instances(m):
+        cfg = ReductionConfig(K=6, phi=HALF)
+        ppi = round_to_integral(build_instance_profile(inst, cfg), cfg.K)
+        tally = gadgets._expected_tally(ppi)
+        n, N = tally.n, tally.matrix
+        assert n == ppi.total_weight and tally.is_integral and tally.vote is None
+        off = ~np.eye(m, dtype=bool)
+        assert ((N + N.T)[off] == n).all() and (np.diag(N) == 0).all()
+        assert (tally.position_sums == N.sum(axis=0)).all()
+        # float margins round to the same tally as exact ones, half to even
+        exact = expected_wmg(ppi).matrix
+        assert exact.dtype == object
+        for a in range(m):
+            for b in range(a + 1, m):
+                assert N[a, b] == round((n + exact[a, b]) / 2)
+
+
+# (answer, finished, back_edges, n, op_count) of three seeded trials,
+# recorded while each budget came from the median of five extra sampled
+# elections; budgets from the expected tally leave every one as it is
+PINNED_TRIALS = {
+    ("eulerian", 4, "0.5"): [
+        ("YES", 1, 1, 4083, 94), ("YES", 1, 1, 4083, 93), ("YES", 1, 1, 4083, 98)],
+    ("tournament", 4, "0.5"): [
+        ("NO", 1, 4, 4083, 92), ("NO", 1, 1, 4083, 93), ("NO", 1, 3, 4083, 100)],
+    ("eulerian", 5, "0.5"): [
+        ("YES", 1, 1, 15600, 264), ("YES", 1, 1, 15600, 269), ("YES", 1, 1, 15600, 258)],
+    ("tournament", 5, "0.5"): [
+        ("NO", 1, 3, 15561, 260), ("NO", 1, 3, 15561, 266), ("NO", 1, 4, 15561, 257)],
+    ("eulerian", 6, "0.5"): [
+        ("YES", 1, 2, 46008, 704), ("YES", 1, 2, 46008, 713), ("YES", 1, 2, 46008, 717)],
+    ("tournament", 6, "0.5"): [
+        ("NO", 1, 8, 46340, 707), ("NO", 1, 7, 46340, 719), ("NO", 1, 4, 46340, 712)],
+    ("eulerian", 4, "1/2"): [
+        ("YES", 1, 1, 4083, 94), ("YES", 1, 1, 4083, 93), ("YES", 1, 1, 4083, 98)],
+    ("tournament", 4, "1/2"): [
+        ("NO", 1, 4, 4083, 92), ("NO", 1, 1, 4083, 93), ("NO", 1, 3, 4083, 100)],
+    ("eulerian", 5, "1/2"): [
+        ("YES", 1, 1, 15600, 264), ("YES", 1, 1, 15600, 269), ("YES", 1, 1, 15600, 258)],
+    ("tournament", 5, "1/2"): [
+        ("NO", 1, 3, 15561, 260), ("NO", 1, 3, 15561, 266), ("NO", 1, 4, 15561, 257)],
+    ("eulerian", 6, "1/2"): [
+        ("YES", 1, 2, 46656, 704), ("NO", 1, 3, 46656, 707), ("YES", 1, 2, 46656, 712)],
+    ("tournament", 6, "1/2"): [
+        ("NO", 1, 8, 46341, 707), ("NO", 1, 8, 46341, 719), ("NO", 1, 4, 46341, 712)],
+}
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+@pytest.mark.parametrize("phi", ["0.5", "1/2"])
+def test_reduction_trial_outcomes_are_pinned(m, phi):
+    cfg = ReductionConfig(K=6, phi=0.5 if phi == "0.5" else HALF)
+    for inst in _gadget_instances(m):
+        _, rows = reduction_trials(inst, cfg, trials=3, master_seed=21)
+        got = [(r["answer"], r["finished"], r["back_edges"], r["n"], r["op_count"]) for r in rows]
+        assert got == PINNED_TRIALS[inst.kind, m, phi]
 
 
 def test_reduction_trial_depends_only_on_its_rng():

@@ -318,12 +318,13 @@ def test_reduction_trials_summary_and_log_shape():
     assert len(rows) == 5
     assert set(rows[0]) == {
         "seed", "K", "n", "solver", "finished", "elapsed_ms", "op_count",
-        "answer", "back_edges", "budget_ops", "pilot_ops",
+        "answer", "back_edges", "budget_ops",
     }
-    # the budget and the pilot op count it comes from belong to the instance
-    assert len({(r["budget_ops"], r["pilot_ops"]) for r in rows}) == 1
-    assert rows[0]["pilot_ops"] > 0
-    assert rows[0]["budget_ops"] == gadgets.BUDGET_MULTIPLIER * rows[0]["pilot_ops"]
+    # the budget belongs to the instance: a multiple of its expected tally's op count
+    assert len({r["budget_ops"] for r in rows}) == 1
+    ppi = gadgets.round_to_integral(gadgets.build_instance_profile(inst, ReductionConfig(K=6)), 6)
+    expected_ops = solvers.kemeny_dp(gadgets._expected_tally(ppi)).op_count
+    assert rows[0]["budget_ops"] == gadgets.BUDGET_MULTIPLIER * expected_ops
     assert all(r["op_count"] <= r["budget_ops"] for r in rows)
 
 
