@@ -165,8 +165,9 @@ class Profile:
     ``votes`` holds one ranking per row; ``weights`` the matching
     multiplicities.  Integral profiles (all weights integers) represent
     ordinary n-voter elections with ``n = weights.sum()``; fractional
-    weights arise from expected profiles and gadget constructions.  The
-    empty profile is legal and has a zero majority graph.
+    weights arise from expected profiles and gadget constructions.  Integer
+    and boolean weight arrays are stored as int64.  The empty profile is
+    legal and has a zero majority graph.
     """
 
     m: int
@@ -185,6 +186,10 @@ class Profile:
         weights = self.weights
         if not isinstance(weights, np.ndarray):
             weights = weight_array(weights)
+        if weights.dtype.kind in "biu" and weights.dtype != np.int64:
+            if weights.dtype == np.uint64 and (weights >> np.uint64(63)).any():
+                raise ValueError("integer weights must be below 2**63")
+            weights = weights.astype(np.int64)
         if weights.shape != (votes.shape[0],):
             raise ValueError("weights must align with vote rows")
         if (weights < 0).any():
@@ -300,16 +305,18 @@ class Tally:
 
     @staticmethod
     def of(election: "Profile | Tally") -> "Tally":
-        """The tally of a profile, read off its aggregated rows; a tally is
-        returned as it is."""
+        """The tally of a profile, read off its aggregated rows (int64
+        weights through ``_tally_rows``); a tally is returned as it is."""
         if isinstance(election, Tally):
             return election
         agg = election.aggregated()
         w = agg.weights
+        vote = Ranking(tuple(agg.votes[0].tolist())) if len(agg) else None
+        if w.dtype == np.int64:
+            return Tally(agg.m, int(agg.n), *_tally_rows(agg.positions, w), vote)
         n_tally, sums, n = pairwise_tally(agg), w @ agg.positions.astype(w.dtype), agg.n
         if agg.is_integral:
             n_tally, sums, n = n_tally.astype(np.int64), sums.astype(np.int64), int(n)
-        vote = Ranking(tuple(agg.votes[0].tolist())) if len(agg) else None
         return Tally(agg.m, n, n_tally, sums, vote)
 
 
@@ -575,14 +582,36 @@ def _tally_score(r: Ranking, n_tally: np.ndarray) -> Weight:
     return vals.sum() if vals.dtype != object else sum(vals.tolist())
 
 
-#: vote rows per block when ``pairwise_tally`` sums integer weights; a
-#: block's int64 comparison array takes 8 * rows * m^2 bytes, 256 KB at m = 8
-TALLY_CHUNK = 512
+#: rows per block of ``_tally_rows``; a block's int64 comparison array takes
+#: 8 * rows * m(m-1)/2 bytes, 224 KB at m = 8
+TALLY_BLOCK = 1024
 
 
-def _block_tally(w: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    before = pos[:, :, None] < pos[:, None, :]  # (rows, m, m): a before b
-    return np.tensordot(w, before.astype(w.dtype), axes=(0, 0))
+def _tally_rows(pos: np.ndarray, weights: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise tally N and position sums of the votes whose positions are
+    the int16 rows of ``pos`` (``pos[r, a]``: position of alternative a),
+    row r weighing int64 ``weights[r]``, or one vote each when ``weights``
+    is None.  Each block of TALLY_BLOCK rows, read alternative-major,
+    compares every pair a < b once into N[a, b]; integer sums are exact in
+    any order, and N[b, a] is the total weight minus N[a, b]."""
+    k, m = pos.shape
+    iu, ju = _upper_pairs(m)
+    upper = np.zeros(len(iu), dtype=np.int64)
+    sums = np.zeros(m, dtype=np.int64)
+    for lo in range(0, k, TALLY_BLOCK):
+        place = np.ascontiguousarray(pos[lo : lo + TALLY_BLOCK].T)  # place[a]: a's positions
+        before = place[iu] < place[ju]
+        if weights is None:
+            upper += np.count_nonzero(before, axis=1)
+            sums += place.sum(axis=1, dtype=np.int64)
+        else:
+            w = weights[lo : lo + TALLY_BLOCK]
+            upper += before @ w
+            sums += place @ w
+    n_tally = np.zeros((m, m), dtype=np.int64)
+    n_tally[iu, ju] = upper
+    n_tally[ju, iu] = (k if weights is None else weights.sum()) - upper
+    return n_tally, sums
 
 
 def pairwise_tally(profile: Profile) -> np.ndarray:
@@ -590,28 +619,25 @@ def pairwise_tally(profile: Profile) -> np.ndarray:
 
     Satisfies N[a, b] + N[b, a] = total weight for a != b, and the Kemeny
     score of a ranking equals the sum of N[b, a] over ordered pairs it
-    places a above b.
+    places a above b.  Integer weights are tallied by ``_tally_rows``;
+    float and object weights sum one comparison array over all rows, since
+    a float complement would round apart from it and object weights may
+    mix floats with Fractions.
     """
     m = profile.m
     if len(profile) == 0:
         return np.zeros((m, m), dtype=np.int64)
-    pos = profile.positions.astype(np.int64)
     w = profile.weights
-    if w.dtype.kind in "iu":
-        # integer sums are exact in any order, so summing fixed-size row
-        # blocks matches one tensordot over all k rows bit for bit while the
-        # (rows, m, m) comparison array stays bounded
-        n_tally = _block_tally(w[:TALLY_CHUNK], pos[:TALLY_CHUNK])
-        for lo in range(TALLY_CHUNK, len(w), TALLY_CHUNK):
-            n_tally += _block_tally(w[lo : lo + TALLY_CHUNK], pos[lo : lo + TALLY_CHUNK])
-        return n_tally
+    if w.dtype == np.int64:
+        return _tally_rows(profile.positions, w)[0]
+    pos = profile.positions
+    before = pos[:, :, None] < pos[:, None, :]  # (k, m, m): a before b
     if w.dtype == object:
-        before = pos[:, :, None] < pos[:, None, :]  # (k, m, m): a before b
         n_tally = np.zeros((m, m), dtype=object)
         for i, wi in enumerate(w.tolist()):
             n_tally = n_tally + before[i].astype(object) * wi
         return n_tally
-    return _block_tally(w, pos)
+    return np.tensordot(w, before.astype(w.dtype), axes=(0, 0))
 
 
 def wmg(profile: Profile) -> WeightedMajorityGraph:

@@ -33,6 +33,7 @@ from .core import (
     WeightedMajorityGraph,
     _merge_rows,
     _readonly,
+    _tally_rows,
     _upper_pairs,
     all_rankings,
     as_ranking,
@@ -651,8 +652,8 @@ def _alias_draw(
     return np.where(x - col < prob[table], col, alias[table])
 
 
-#: voters per block of ``_profile_sampler`` and ``_positions_tally``; small
-#: blocks keep their temporaries in cache
+#: voters per block of ``_profile_sampler``'s draws and ``_positions_tally``'s
+#: scatter; small blocks keep their temporaries in cache
 DRAW_BLOCK = 4096
 
 
@@ -788,26 +789,19 @@ def _positions_tally(centrals: np.ndarray, entry: np.ndarray, pos: np.ndarray) -
 
     The n voters' positions go, DRAW_BLOCK voters at a time, into an
     alternative-major (m, n) array, whose row a holds every voter's
-    position of alternative a.  Comparing rows a < b over a block counts
-    the block's votes that rank a over b; N[b, a] is n minus N[a, b], and
-    the position sums are the row sums.  The lexicographically first vote
-    is found by filtering the voters position by position: its next
-    alternative is the smallest one that a voter still in the running
-    places there.
+    position of alternative a; its transpose holds one position row per
+    voter, which ``_tally_rows`` tallies as one vote each.  The
+    lexicographically first vote is found by filtering the voters position
+    by position: its next alternative is the smallest one that a voter
+    still in the running places there.
     """
     n, m = pos.shape
     place = np.empty((m, n), dtype=np.int16)  # place[a, v]: position of a in vote v
     flat = place.reshape(-1)
-    n_tally = np.zeros((m, m), dtype=np.int64)
     for lo in range(0, n, DRAW_BLOCK):
         hi = min(lo + DRAW_BLOCK, n)
         alternatives = centrals[entry[lo:hi]].T.astype(np.intp)
         flat[alternatives * n + np.arange(lo, hi)] = pos[lo:hi].T
-        block = place[:, lo:hi]
-        for a in range(m - 1):
-            n_tally[a, a + 1 :] += np.count_nonzero(block[a] < block[a + 1 :], axis=1)
-    iu, ju = _upper_pairs(m)
-    n_tally[ju, iu] = n - n_tally[iu, ju]
     vote = None
     if n:
         voters, order = np.arange(n), []
@@ -819,7 +813,7 @@ def _positions_tally(centrals: np.ndarray, entry: np.ndarray, pos: np.ndarray) -
             voters = voters[hit]
             order.append(a)
         vote = Ranking(tuple(order))
-    return Tally(m, n, n_tally, place.sum(axis=1, dtype=np.int64), vote)
+    return Tally(m, n, *_tally_rows(place.T), vote)
 
 
 def sample_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
@@ -907,25 +901,14 @@ def _tallied_profile(m: int, counts: np.ndarray) -> Profile:
     return Profile(m, _rankings_table(m)[0][keep], counts[keep])
 
 
-@lru_cache(maxsize=SAMPLE_ENUM_MAX_M)
-def _before_table(m: int) -> np.ndarray:
-    """Read-only int64 (m!, m*m) table over ``all_rankings(m)``: entry
-    [r, a*m + b] is 1 when ranking r places a before b."""
-    positions = _rankings_table(m)[1]
-    before = (positions[:, :, None] < positions[:, None, :]).reshape(len(positions), m * m)
-    before = before.astype(np.int64)
-    before.setflags(write=False)
-    return before
-
-
 def _counts_tally(m: int, counts: np.ndarray) -> Tally:
     """The tally of nonzero ``counts`` over ``all_rankings(m)``, equal to
-    ``Tally.of(_tallied_profile(m, counts))``."""
+    ``Tally.of(_tallied_profile(m, counts))``: ``_tally_rows`` over the
+    position rows of the rankings counted, weighted by their counts."""
     orders, positions = _rankings_table(m)
     nonzero = np.flatnonzero(counts)
     vote = Ranking(tuple(orders[nonzero[0]].tolist())) if len(nonzero) else None
-    n_tally = (counts @ _before_table(m)).reshape(m, m)
-    return Tally(m, int(counts.sum()), n_tally, counts @ positions, vote)
+    return Tally(m, int(counts.sum()), *_tally_rows(positions[nonzero], counts[nonzero]), vote)
 
 
 def mallows_parameter_profile(central: Profile, phi) -> ParameterProfile:

@@ -135,10 +135,78 @@ def test_pairwise_tally_blocks_match_one_tensordot(monkeypatch):
     before = pos[:, :, None] < pos[:, None, :]
     expected = np.tensordot(weights, before.astype(np.int64), axes=(0, 0))
     for chunk in (1, 4, 22, 23, 24):
-        monkeypatch.setattr(core, "TALLY_CHUNK", chunk)
+        monkeypatch.setattr(core, "TALLY_BLOCK", chunk)
         got = pairwise_tally(prof)
         assert got.dtype == np.int64
         assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("m", [2, 8, 12])
+def test_tally_rows_blocks_match_one_tensordot(monkeypatch, m):
+    # weighted rows and rows of one vote each, across block boundaries: the
+    # tally equals one tensordot over all rows and the position sums one
+    # weighted sum, both in int64
+    rng = np.random.default_rng(m)
+    k = 23
+    votes = np.array([rng.permutation(m) for _ in range(k)], dtype=np.int16)
+    pos = Profile(m, votes, np.ones(k, dtype=np.int64)).positions
+    before = (pos[:, :, None] < pos[:, None, :]).astype(np.int64)
+    for weights in (rng.integers(1, 2**40, size=k, dtype=np.int64), None):
+        w = np.ones(k, dtype=np.int64) if weights is None else weights
+        expected = np.tensordot(w, before, axes=(0, 0))
+        for chunk in (1, 4, 22, 23, 24):
+            monkeypatch.setattr(core, "TALLY_BLOCK", chunk)
+            n_tally, sums = core._tally_rows(pos, weights)
+            assert n_tally.dtype == sums.dtype == np.int64
+            assert np.array_equal(n_tally, expected)
+            assert np.array_equal(sums, w @ pos.astype(np.int64))
+
+
+def test_integer_tally_memory_stays_per_block():
+    # with positions cached, tallying 100,000 rows at m = 8 allocates per
+    # TALLY_BLOCK, not an int64 copy of every position (6.4 MB)
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    votes = rng.permuted(np.tile(np.arange(8, dtype=np.int16), (100_000, 1)), axis=1)
+    prof = Profile(8, votes, np.ones(len(votes), dtype=np.int64))
+    agg = prof.aggregated()
+    prof.positions, agg.positions
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        n_tally = pairwise_tally(prof)
+        tally = core.Tally.of(agg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert np.array_equal(tally.matrix, n_tally) and n_tally[0, 1] + n_tally[1, 0] == 100_000
+    assert np.array_equal(tally.position_sums, votes.argsort(axis=1).sum(axis=0))
+
+
+def test_narrow_integer_and_bool_weights_tally_as_int64():
+    # 270 of 300 unit votes rank 0 over 1, which wraps to 14 in uint8
+    votes = np.tile(np.array([0, 1, 2], dtype=np.int16), (300, 1))
+    votes[::10] = [2, 1, 0]
+    unit = Profile(3, votes, np.ones(300, dtype=np.int64))
+    for weights in (np.ones(300, dtype=np.uint8), np.ones(300, dtype=np.int8),
+                    np.ones(300, dtype=np.uint64), np.ones(300, dtype=bool)):
+        prof = Profile(3, votes, weights)
+        n_tally = pairwise_tally(prof)
+        assert n_tally[0, 1] == 270 and n_tally[1, 0] == 30
+        assert n_tally.dtype == np.int64 and np.array_equal(n_tally, pairwise_tally(unit))
+        assert avg_kt(prof) == avg_kt(unit) == 2 * 3 * 270 * 30 / (300 * 299)
+        assert prof.weights.dtype == np.int64
+        tally, want = core.Tally.of(prof), core.Tally.of(unit)
+        assert (tally.n, type(tally.n)) == (300, int)
+        assert np.array_equal(tally.matrix, want.matrix)
+        assert np.array_equal(tally.position_sums, want.position_sums)
+    # False weights are zero weights
+    mixed = Profile(3, votes, np.arange(300) % 2 == 0)
+    assert pairwise_tally(mixed)[0, 1] + pairwise_tally(mixed)[1, 0] == 150
+    with pytest.raises(ValueError):
+        Profile(3, votes[:1], np.array([2**63], dtype=np.uint64))
 
 
 def test_kemeny_score_dual_path_oracle():

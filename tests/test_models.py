@@ -494,6 +494,33 @@ def test_sample_tally_is_the_tally_of_sample_profile(m, family):
     assert rng_tally.bit_generator.state == rng_profile.bit_generator.state
 
 
+@pytest.mark.parametrize("m", range(3, 8))
+def test_counts_tally_is_the_tally_of_counted_profile(m):
+    # counts over all m! rankings, about half of them zero, the first one
+    # zero so the first vote is not ranking 0
+    from votelab.models import _counts_tally, _tallied_profile
+
+    rng = np.random.default_rng(m)
+    counts = rng.integers(0, 50, size=math.factorial(m)) * rng.integers(0, 2, size=math.factorial(m))
+    counts[0] = 0
+    _assert_same_tally(_counts_tally(m, counts), Tally.of(_tallied_profile(m, counts)))
+
+
+@pytest.mark.parametrize("voters", [0, 1])
+def test_m8_tally_of_zero_and_one_voter(voters):
+    entries = [(MallowsParam(Ranking((3, 1, 4, 0, 5, 2, 7, 6)), 0.5), voters)] if voters else []
+    pp = ParameterProfile.from_entries(8, entries)
+    got = sample_tally(pp, np.random.default_rng(5))
+    want = Tally.of(sample_profile(pp, np.random.default_rng(5)))
+    _assert_same_tally(got, want)
+    assert got.n == voters and (got.vote is None) == (voters == 0)
+    if voters:
+        iu, ju = np.triu_indices(8, k=1)
+        pos = np.asarray(got.vote.positions)
+        assert np.array_equal(got.matrix[iu, ju], pos[iu] < pos[ju])
+        assert np.array_equal(got.position_sums, pos)
+
+
 def test_sample_tally_builds_m8_arrays_once_per_profile(monkeypatch):
     # the profile holds its types as read-only arrays; m = 8 draws read
     # them as they are, never through the (parameter, weight) view
