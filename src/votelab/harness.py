@@ -381,8 +381,8 @@ def avg_kt_concentration_check(
     Hoeffding tail exp(-2nt^2 / (m^2 (m-1)^2)) plus three binomial sigmas
     of slack.
     """
-    rng_central = trial_rng(cfg.seed, 0)
-    central = central if central is not None else central_profile(cfg.central, cfg.m, cfg.n, rng_central)
+    if central is None:
+        central = central_profile(cfg.central, cfg.m, cfg.n, trial_rng(cfg.seed, 0))
     n = int(central.n)
     if n < 2:
         raise ValueError("need n >= 2")
@@ -454,8 +454,8 @@ def dp_smoothed_check(
     within the calibrated envelope DP_ENVELOPE_C * 16^d * d^2 * n^2 * m^2 *
     log2(m) at the election's own distance parameter.
     """
-    rng_central = trial_rng(cfg.seed, 0)
-    central = central if central is not None else central_profile(cfg.central, cfg.m, cfg.n, rng_central)
+    if central is None:
+        central = central_profile(cfg.central, cfg.m, cfg.n, trial_rng(cfg.seed, 0))
     n = int(central.n)
     base = float(avg_kt(central))
     phi_star = mean_expected_kt_bound((cfg.phi,) * n, cfg.m)

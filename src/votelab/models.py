@@ -645,15 +645,20 @@ def _alias_draw(
     ``size`` columns each, voter i from the table at offset ``at[i]`` of
     ``prob`` and ``alias``: the integer part of ``u * size`` picks the
     column and its fractional part is the coin.  A uniform below 1 keeps
-    the rounded product below ``size``, so every column is in range."""
+    the rounded product below ``size``, so every column is in range.  The
+    column is intp, so ``at + col`` is too even for an int32 ``at``, and
+    ``take`` gathers through it with no cast; an intp ``alias`` keeps the
+    result intp."""
     x = u * size
-    col = x.astype(np.int32)
+    col = x.astype(np.intp)
     table = at + col
-    return np.where(x - col < prob[table], col, alias[table])
+    return np.where(x - col < prob.take(table), col, alias.take(table))
 
 
 #: voters per block of ``_profile_sampler``'s draws and ``_positions_tally``'s
-#: scatter; small blocks keep their temporaries in cache
+#: scatter; small blocks keep their temporaries in cache.  The sampler's
+#: index temporaries are intp, 32 KB a block; its stored per-voter offsets
+#: stay int32
 DRAW_BLOCK = 4096
 
 
@@ -701,16 +706,22 @@ def _profile_sampler(pp: ParameterProfile) -> Callable[[np.random.Generator], np
 
     The alias tables of all dispersions lie end to end in two flat arrays,
     and the relabel table is read flat too, so each light voter needs just
-    two int32 offsets, built here once: its dispersion's table and its
-    type's relabel row.  A call then draws DRAW_BLOCK voters at a time: one
-    batch of uniforms, 1-D gathers through those offsets and one
+    two offsets, built here once: its dispersion's table and its type's
+    relabel row.  A call then draws DRAW_BLOCK voters at a time: one batch
+    of uniforms, 1-D ``take`` gathers through those offsets and one
     ``bincount``, with temporaries the size of a block.
+
+    Every gather and scatter indexes with intp, so numpy casts no index:
+    the drawn column and the flat ``alias`` table are intp, and a heavy
+    type's relabel row is cast to intp for its scatter.  The per-voter
+    offsets stay int32, since an int32 offset plus an intp column is
+    already intp; the cached sampler keeps 8 bytes per light voter.
     """
     m, size, counts, phi_index = pp.m, factorial(pp.m), _integral_counts(pp), pp.phi_index
     relabel = _relabel_table(m, pp.centrals.tobytes())
     tables = [_alias_table(m, phi) for phi in pp.phis]
     prob = np.array([t[1] for t in tables], dtype=np.float64).reshape(-1)
-    alias = np.array([t[2] for t in tables], dtype=np.int16).reshape(-1)
+    alias = np.array([t[2] for t in tables], dtype=np.intp).reshape(-1)
     light = np.flatnonzero(counts < size)
     voter = np.repeat(light.astype(np.int32), counts[light])
     table_at = phi_index[voter].astype(np.int32) * np.int32(size)
@@ -725,9 +736,9 @@ def _profile_sampler(pp: ParameterProfile) -> Callable[[np.random.Generator], np
             at = table_at[lo : lo + DRAW_BLOCK]
             base = _alias_draw(prob, alias, at, rng.random(len(at)), size)
             base += relabel_at[lo : lo + DRAW_BLOCK]
-            tally += np.bincount(flat_relabel[base], minlength=size)
+            tally += np.bincount(flat_relabel.take(base), minlength=size)
         for t, count, pmf in heavy:
-            tally[relabel[t]] += rng.multinomial(count, pmf)
+            tally[relabel[t].astype(np.intp)] += rng.multinomial(count, pmf)
         return tally
 
     return draw

@@ -589,6 +589,20 @@ def _light_and_heavy_profile() -> ParameterProfile:
     return ParameterProfile.from_entries(5, entries)
 
 
+def _m7_light_and_heavy_profile() -> ParameterProfile:
+    """Every 90th central at m = 7 at two dispersions: 112 types, six of
+    them heavy (weight at least 7! = 5,040), and 14,669 voters of light
+    types (three full DRAW_BLOCKs and a partial one)."""
+    from itertools import islice, permutations
+
+    entries = []
+    for k, r in enumerate(islice(permutations(range(7)), 0, None, 90)):
+        for j, phi in enumerate((0.3, HALF)):
+            w = 5040 + 700 * j if k % 19 == 0 else 1 + (53 * k + 29 * j) % 271
+            entries.append((MallowsParam(Ranking(r), phi), w))
+    return ParameterProfile.from_entries(7, entries)
+
+
 def _draw_digest(pp, rng) -> str:
     import hashlib
     import json
@@ -626,6 +640,26 @@ def test_enumerated_draw_stream_is_pinned():
     assert [_draw_digest(pp, np.random.default_rng(seed)) for seed in (0, 1)] == [
         "15b59b3f8af9f517b1d5207a249c64a3b054d638831eac7014dd958e96687075",
         "602eedbd65aa160c2db995791939dccd5b8042a5956385aa5ea10645952f5073",
+    ]
+
+
+def test_enumerated_m7_draw_stream_is_pinned():
+    # m = 7 puts the flat relabel offsets of all but the first few light
+    # types past 2**15, which the m = 5 and m = 6 cases never reach
+    from math import factorial
+
+    from votelab.models import DRAW_BLOCK
+
+    pp = _m7_light_and_heavy_profile()
+    weights = [int(w) for _, w in pp.entries]
+    size = factorial(7)
+    light = [w for w in weights if w < size]
+    assert len(weights) - len(light) == 6
+    assert sum(light) == 14669 > 3 * DRAW_BLOCK and (len(weights) - 1) * size > 1 << 15
+    assert sorted({float(p.phi) for p, _ in pp.entries}) == [0.3, 0.5]
+    assert [_draw_digest(pp, np.random.default_rng(seed)) for seed in (0, 1)] == [
+        "672afc2e463ee17936784d46c9d04b60379139683fa97690cf9bb77872af1c98",
+        "3cedb0f99b501b456724d11d0afa90cc5512733389a7a4d5b6a745a47de9126f",
     ]
 
 
