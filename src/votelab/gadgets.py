@@ -50,6 +50,7 @@ from .models import (
     ModelParam,
     ParameterProfile,
     PlackettLuceParam,
+    _as_profile,
     expected_wmg,
     mallows_pairwise,
     sample_tally,
@@ -147,10 +148,7 @@ def triangle_orbit(m: int) -> list[Permutation]:
         return [s1**i for i in (1, 2, 3)]
     others = list(range(3, m))
     rot = Permutation.cycle(others, m)
-    refl_map = list(range(m))
-    for j, x in enumerate(others):
-        refl_map[x] = others[len(others) - 1 - j]
-    refl = Permutation(tuple(refl_map))
+    refl = Permutation.sending(others, others[::-1], m)
     orbit = []
     for i in (1, 2, 3):
         for t in range(1, m - 2):
@@ -172,21 +170,12 @@ def cocycle_orbit(a: int, m: int) -> list[Permutation]:
         raise ValueError("need m >= 3")
     others = [x for x in range(m) if x != a]
     rot = Permutation.cycle(others, m)
-    refl_map = list(range(m))
-    for j, x in enumerate(others):
-        refl_map[x] = others[len(others) - 1 - j]
-    refl = Permutation(tuple(refl_map))
+    refl = Permutation.sending(others, others[::-1], m)
     orbit = []
     for i in range(1, m):
         orbit.append(rot**i)
         orbit.append((rot**i).compose(refl))
     return orbit
-
-
-def _as_profile(x: ModelParam | ParameterProfile) -> ParameterProfile:
-    if isinstance(x, ParameterProfile):
-        return x
-    return ParameterProfile.from_entries(x.m, [(x, 1)])
 
 
 def _apply_orbit(orbit: Sequence[Permutation], x: ParameterProfile) -> ParameterProfile:
@@ -459,7 +448,7 @@ def verify_witness(
         family=family,
         m=ms[-1],
         alpha=alphas[-1],
-        beta=float(block_cross_sum(expected_wmg(_witness_param(family, ms[-1], phi, theta_lo, theta_hi)))),
+        beta=float(block_cross_sum(w)),
         gamma=gammas[-1],
         k=k,
         k_star=k_star,

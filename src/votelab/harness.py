@@ -347,8 +347,24 @@ def bm_paradox_check(p: BmParams, tol: float = 1e-9) -> BmReport:
 # ---------------------------------------------------------------------------
 
 
-def _hoeffding_bound(n: int, t: float, m: int) -> float:
-    return math.exp(-2.0 * n * t * t / (m * m * (m - 1) * (m - 1)))
+def _noise_trials(cfg: ExperimentConfig, central: Optional[Profile]) -> tuple:
+    """The two Hoeffding checks' common start: n, avg_kt(central), the
+    threshold avg_kt(central) + 2 * (mean expected-distance bound) + t, the
+    noise tallies drawn lazily on each trial's stream, the Hoeffding tail
+    exp(-2nt^2 / (m^2 (m-1)^2)) and its three binomial sigmas."""
+    if central is None:
+        central = central_profile(cfg.central, cfg.m, cfg.n, trial_rng(cfg.seed, 0))
+    n = int(central.n)
+    if n < 2:
+        raise ValueError("need n >= 2")
+    base = float(avg_kt(central))
+    threshold = base + 2.0 * mean_expected_kt_bound((cfg.phi,) * n, cfg.m) + cfg.t
+    noise = mallows_parameter_profile(central, cfg.phi)
+    tallies = (sample_tally(noise, trial_rng(cfg.seed, 1, trial)) for trial in range(cfg.trials))
+    m, t = cfg.m, cfg.t
+    bound = math.exp(-2.0 * n * t * t / (m * m * (m - 1) * (m - 1)))
+    sigma3 = 3.0 * math.sqrt(max(bound * (1.0 - bound), 1e-12) / cfg.trials)
+    return n, base, threshold, tallies, bound, sigma3
 
 
 @dataclass(frozen=True)
@@ -381,26 +397,14 @@ def avg_kt_concentration_check(
     Hoeffding tail exp(-2nt^2 / (m^2 (m-1)^2)) plus three binomial sigmas
     of slack.
     """
-    if central is None:
-        central = central_profile(cfg.central, cfg.m, cfg.n, trial_rng(cfg.seed, 0))
-    n = int(central.n)
-    if n < 2:
-        raise ValueError("need n >= 2")
-    base = float(avg_kt(central))
-    phi_star = mean_expected_kt_bound((cfg.phi,) * n, cfg.m)
-    threshold = base + 2.0 * phi_star + cfg.t
-    noise = mallows_parameter_profile(central, cfg.phi)
+    n, base, threshold, tallies, bound, sigma3 = _noise_trials(cfg, central)
     violations = 0
     rows = []
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, 1, trial)
-        sampled = sample_tally(noise, rng)
+    for trial, sampled in enumerate(tallies):
         val = float(avg_kt(sampled))
         hit = val > threshold
         violations += hit
         rows.append({"trial": trial, "avg_kt": val, "violation": int(hit)})
-    bound = _hoeffding_bound(n, cfg.t, cfg.m)
-    sigma3 = 3.0 * math.sqrt(max(bound * (1.0 - bound), 1e-12) / cfg.trials)
     rate = violations / cfg.trials
     report = ConcentrationReport(
         m=cfg.m,
@@ -454,20 +458,13 @@ def dp_smoothed_check(
     within the calibrated envelope DP_ENVELOPE_C * 16^d * d^2 * n^2 * m^2 *
     log2(m) at the election's own distance parameter.
     """
-    if central is None:
-        central = central_profile(cfg.central, cfg.m, cfg.n, trial_rng(cfg.seed, 0))
-    n = int(central.n)
-    base = float(avg_kt(central))
-    phi_star = mean_expected_kt_bound((cfg.phi,) * n, cfg.m)
-    d = math.ceil(base + 2.0 * phi_star + cfg.t)
+    n, _, threshold, tallies, bound, sigma3 = _noise_trials(cfg, central)
+    d = math.ceil(threshold)
     within = 0
     env_ok = True
     max_ratio = 0.0
-    noise = mallows_parameter_profile(central, cfg.phi)
     rows = []
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, 1, trial)
-        sampled = sample_tally(noise, rng)
+    for trial, sampled in enumerate(tallies):
         res = kemeny_dp(sampled)
         dbar = res.diagnostics.d
         envelope = DP_ENVELOPE_C * dp_runtime_envelope(dbar, n, cfg.m)
@@ -487,8 +484,6 @@ def dp_smoothed_check(
                 "elapsed_ms": res.elapsed * 1000.0,
             }
         )
-    bound = _hoeffding_bound(n, cfg.t, cfg.m)
-    sigma3 = 3.0 * math.sqrt(max(bound * (1.0 - bound), 1e-12) / cfg.trials)
     required = 1.0 - bound - sigma3
     freq = within / cfg.trials
     report = DpEnvelopeReport(

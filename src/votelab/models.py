@@ -156,11 +156,12 @@ class ParameterProfile:
     (``phis`` holds each distinct dispersion once), a Plackett-Luce type
     the utility row ``thetas[t]`` (object dtype when any is a Fraction).
     ``weights`` are packed as ``core.weight_array`` packs them, and
-    ``entries`` gives the types as (parameter, weight) pairs.  Every
-    constructor and operation below merges equal parameters into one type
-    at the first one seen, with the in-order weight sum, drops zero
-    weights, and sorts types by central ranking and dispersion, or by
-    utilities.
+    ``entries`` gives the types as (parameter, weight) pairs.
+    ``from_entries``, ``with_weights`` (so ``scale``) and ``union`` merge
+    equal parameters into one type at the first one seen, with the
+    in-order weight sum, drop zero weights, and sort types by central
+    ranking and dispersion, or by utilities.  ``permuted`` keeps the type
+    order and weights, since a relabeling cannot make two types equal.
     """
 
     m: int
@@ -271,14 +272,15 @@ class ParameterProfile:
         return ParameterProfile(self.m, weights, centrals, phis, phi_index)._merged()
 
     def permuted(self, sigma: Permutation) -> "ParameterProfile":
-        """Relabel every type so its distribution commutes with relabeled votes."""
+        """Relabel every type so its distribution commutes with relabeled
+        votes; type t stays type t at its weight, unmerged and unsorted."""
         if sigma.m != self.m:
             raise ValueError("mismatched m")
         if self.thetas is not None:
             # alternative sigma(a) takes a's utility
-            return replace(self, thetas=self.thetas[:, sigma.inverse().map])._merged()
+            return replace(self, thetas=self.thetas[:, sigma.inverse().map])
         smap = np.asarray(sigma.map, dtype=np.int16)
-        return replace(self, centrals=smap[self.centrals])._merged()
+        return replace(self, centrals=smap[self.centrals])
 
     def _merged(self) -> "ParameterProfile":
         if self.thetas is not None:
@@ -308,6 +310,13 @@ class ParameterProfile:
         renumber[used] = np.arange(len(used))
         phis = tuple(self.phis[j] for j in used)
         return ParameterProfile(self.m, weights[order], centrals[order], phis, renumber[phi_index])
+
+
+def _as_profile(x: ModelParam | ParameterProfile) -> ParameterProfile:
+    """A parameter as the profile of it at weight 1; a profile as itself."""
+    if isinstance(x, ParameterProfile):
+        return x
+    return ParameterProfile.from_entries(x.m, [(x, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +533,7 @@ def expected_wmg(x: ModelParam | ParameterProfile) -> WeightedMajorityGraph:
     entries) under Fraction parameters and weights, which is what gadget
     verification requires; float64 when no type and no weight is exact.
     """
-    pp = x if isinstance(x, ParameterProfile) else ParameterProfile.from_entries(x.m, [(x, 1)])
+    pp = _as_profile(x)
     m = pp.m
     if not pp.type_count:
         return WeightedMajorityGraph.zero(m, exact=True)

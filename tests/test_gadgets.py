@@ -372,6 +372,69 @@ def test_gadget_profiles_are_pinned(kind, phi):
             assert hashlib.sha256(w.matrix.tobytes()).hexdigest() == matrix
 
 
+def _two_triangles():
+    return Digraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+
+
+# sha256 of format_parameter_profile of the Plackett-Luce unit-triangle and
+# two-triangle Eulerian profiles at m = 6, unrounded and round_to_integral(., 6),
+# recorded from the construction that merged every relabeled part
+PL_GADGET_DIGESTS = {
+    ("triangle", True): (
+        "9afe635c23165fe4123e8dcfeaa755df37e86aa7f4f657472e829a34afcc3041",
+        "70a9df1b375d355e3e60252d556cbde46f3dd4cf45c8786a020c89c9668a9b4c"),
+    ("triangle", False): (
+        "8c29ea2c64ff1749700a0a1a25b6686fef7b4936c39c0a3e8a0adf3468182350",
+        "8184fc9af88f7973718dd77107d992e527c97d443b3fa2f2773e42214c8509e3"),
+    ("eulerian", True): (
+        "b4e15bbb363f6c48b2fbe26309e6736a04ec3a5ba871e83893f554c6f0a6ce5b",
+        "0f9e00db263ac970eeb6b9d7b774a6b6a7da3571ace46de62fca57c35bdfc763"),
+    ("eulerian", False): (
+        "fce457bca03f7653c8920a051bb56c4c9e57f4643a9f796188e5be0b2ccad228",
+        "a3748369b6b55a09a81544600a44121b4e7e498647fb6767acb82058776ec750"),
+}
+
+
+@pytest.mark.parametrize("kind", ["triangle", "eulerian"])
+@pytest.mark.parametrize("exact", [True, False])
+def test_pl_gadget_profiles_are_pinned(kind, exact):
+    import hashlib
+
+    from votelab.formats import format_parameter_profile
+
+    theta = pl_witness(6) if exact else pl_witness(6, 0.1, 0.2)
+    if kind == "triangle":
+        pp = build_triangle_profile(theta)
+    else:
+        pp = build_eulerian_profile(_two_triangles(), theta)
+    digests = [hashlib.sha256(format_parameter_profile(q).encode()).hexdigest()
+               for q in (pp, round_to_integral(pp, 6))]
+    assert digests == list(PL_GADGET_DIGESTS[kind, exact])
+
+
+def test_gadget_builds_merge_per_level(monkeypatch):
+    # relabeled parts are unique already, so only from_entries, scale and
+    # union merge; merging every relabeled part took 123 and 43 calls
+    from votelab import models
+
+    calls = []
+    merge = models._merge_rows
+
+    def counted(*args):
+        calls.append(1)
+        return merge(*args)
+
+    monkeypatch.setattr(models, "_merge_rows", counted)
+    rng = np.random.default_rng(5)
+    g = Digraph.from_edges(5, [(a, b) if rng.random() < 0.5 else (b, a)
+                               for a in range(5) for b in range(a + 1, 5)])
+    build_tournament_profile(g, mallows_witness(5, 0.5), mallows_witness(5, 0.5))
+    assert len(calls) <= 13
+    calls.clear()
+    build_eulerian_profile(_two_triangles(), mallows_witness(6, 0.5))
+    assert len(calls) <= 10
+
+
 # ---------------------------------------------------------------------------
 # witness reports
 # ---------------------------------------------------------------------------

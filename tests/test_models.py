@@ -358,6 +358,33 @@ def test_model_neutrality():
                 )
 
 
+def test_permuted_keeps_type_order_and_weights():
+    # a relabeling maps distinct types to distinct types: type t of the
+    # result is type t relabeled, at the same weight, with nothing re-sorted
+    sigma = Permutation((3, 0, 4, 1, 2))
+    third = Fraction(1, 3)
+    mallows = ParameterProfile.from_entries(5, [
+        (MallowsParam(Ranking(order), phi), w)
+        for order, phi, w in [((0, 1, 2, 3, 4), 0.5, 3), ((0, 1, 2, 3, 4), third, 1),
+                              ((4, 3, 2, 1, 0), 0.5, 2), ((1, 0, 2, 4, 3), third, 5),
+                              ((2, 4, 0, 1, 3), 0.5, 4)]])
+    moved = mallows.permuted(sigma)
+    assert [(p.central.order, p.phi) for p, _ in moved.entries] == [
+        (tuple(sigma(a) for a in p.central.order), p.phi) for p, _ in mallows.entries]
+    assert [type(p.phi) for p, _ in moved.entries] == [type(p.phi) for p, _ in mallows.entries]
+    pl = ParameterProfile.from_entries(5, [
+        (PlackettLuceParam.from_utilities(u), w)
+        for u, w in [((5, 4, 3, 2, 1), Fraction(1, 2)), ((1, 2, 3, 4, 5), Fraction(3)),
+                     ((2, 2, 1, 1, 4), Fraction(2, 7))]])
+    moved_pl = pl.permuted(sigma)
+    # alternative sigma(a) takes a's utility
+    assert [[row[sigma.inverse()(b)] for b in range(5)] for row in pl.thetas.tolist()] == (
+        moved_pl.thetas.tolist())
+    for before, after in ((mallows, moved), (pl, moved_pl)):
+        assert after.weights.tolist() == before.weights.tolist()
+        assert after.weights.dtype == before.weights.dtype
+
+
 # ---------------------------------------------------------------------------
 # expected-distance bounds
 # ---------------------------------------------------------------------------
