@@ -165,7 +165,7 @@ class Profile:
     ``votes`` holds one ranking per row; ``weights`` the matching
     multiplicities.  Integral profiles (all weights integers) represent
     ordinary n-voter elections with ``n = weights.sum()``; fractional
-    weights arise from expected profiles and gadget constructions.  Integer
+    weights come only from ``.profile`` files and the API.  Integer
     and boolean weight arrays are stored as int64.  The empty profile is
     legal and has a zero majority graph.
     """

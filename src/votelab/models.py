@@ -15,12 +15,13 @@ from a master seed.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, groupby, permutations, repeat
 from math import factorial
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,7 +54,6 @@ __all__ = [
     "pl_pmf",
     "pl_pairwise",
     "pl_sample",
-    "param_pmf",
     "expected_wmg",
     "expected_kt",
     "expected_kt_bound",
@@ -273,14 +273,18 @@ class ParameterProfile:
 
     def permuted(self, sigma: Permutation) -> "ParameterProfile":
         """Relabel every type so its distribution commutes with relabeled
-        votes; type t stays type t at its weight, unmerged and unsorted."""
+        votes; type t stays type t at its weight (shared, so not checked
+        again), unmerged and unsorted."""
         if sigma.m != self.m:
             raise ValueError("mismatched m")
+        out = copy(self)
         if self.thetas is not None:
             # alternative sigma(a) takes a's utility
-            return replace(self, thetas=self.thetas[:, sigma.inverse().map])
-        smap = np.asarray(sigma.map, dtype=np.int16)
-        return replace(self, centrals=smap[self.centrals])
+            object.__setattr__(out, "thetas", _readonly(self.thetas[:, sigma.inverse().map]))
+        else:
+            smap = np.asarray(sigma.map, dtype=np.int16)
+            object.__setattr__(out, "centrals", _readonly(smap[self.centrals]))
+        return out
 
     def _merged(self) -> "ParameterProfile":
         if self.thetas is not None:
@@ -317,6 +321,30 @@ def _as_profile(x: ModelParam | ParameterProfile) -> ParameterProfile:
     if isinstance(x, ParameterProfile):
         return x
     return ParameterProfile.from_entries(x.m, [(x, 1)])
+
+
+class _Utilities(NamedTuple):
+    """A Plackett-Luce base: decreasing utilities, keyed with their types
+    (``Fraction(1, 2) == 0.5``, but their densities round apart)."""
+
+    values: tuple
+    types: tuple
+
+
+def _types(pp: ParameterProfile) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """Every type of ``pp`` as a base distribution relabeled, ``(rows,
+    bases, index)``: type t is ``bases[index[t]]`` with its i-th
+    alternative renamed ``rows[t, i]`` (int16 rows).  A Mallows base is a
+    dispersion around the identity, with the centrals as rows.  A
+    Plackett-Luce row is the stable argsort of the decreasing utilities,
+    so every relabeling of one utility vector shares one base.
+    """
+    if pp.thetas is None:
+        return pp.centrals, pp.phis, pp.phi_index
+    order = np.argsort(-pp.thetas, axis=1, kind="stable")
+    ordered = np.take_along_axis(pp.thetas, order, axis=1).tolist()
+    bases, index = _typed_index(_Utilities(tuple(u), tuple(map(type, u))) for u in ordered)
+    return order.astype(np.int16), bases, index
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +537,6 @@ def pl_sample(param: PlackettLuceParam, rng: np.random.Generator) -> Ranking:
     return Ranking(tuple(out))
 
 
-def param_pmf(param: ModelParam, r: Ranking | Sequence[int]):
-    if isinstance(param, MallowsParam):
-        return mallows_pmf(param, r)
-    return pl_pmf(param, r)
-
-
 # ---------------------------------------------------------------------------
 # expected majority graphs
 # ---------------------------------------------------------------------------
@@ -523,9 +545,10 @@ def param_pmf(param: ModelParam, r: Ranking | Sequence[int]):
 def expected_wmg(x: ModelParam | ParameterProfile) -> WeightedMajorityGraph:
     """Expected majority graph, in closed form (no sampling).
 
-    For a Mallows parameter the margin on a central pair at gap k is
-    2 * mallows_pairwise(phi, k) - 1, oriented by the central ranking; for
-    Plackett-Luce it is (theta_a - theta_b)/(theta_a + theta_b).  A
+    Each base of ``_types`` has one margin per pair i < j, relabeled onto
+    each type's row: 2 * mallows_pairwise(phi, j - i) - 1 for Mallows, and
+    (u_i - u_j)/(u_i + u_j) over the decreasing utilities u for
+    Plackett-Luce, which is (theta_a - theta_b)/(theta_a + theta_b).  A
     parameter profile yields the weight-summed graph (a parameter is the
     profile of it at weight 1): each type adds margin * weight to its
     pair's cell and (-margin) * weight to the reverse one, in type order,
@@ -537,21 +560,20 @@ def expected_wmg(x: ModelParam | ParameterProfile) -> WeightedMajorityGraph:
     m = pp.m
     if not pp.type_count:
         return WeightedMajorityGraph.zero(m, exact=True)
+    rows, bases, index = _types(pp)
     iu, ju = _upper_pairs(m)
-    if pp.thetas is None:
-        # one margin row per dispersion, indexed by gap - 1
-        table = np.array([[2 * mallows_pairwise(phi, gap) - 1 for gap in range(1, m)]
-                          for phi in pp.phis])
-        margins = table[pp.phi_index][:, ju - iu - 1]
-        above, below = pp.centrals[:, iu], pp.centrals[:, ju]
-        exact = [isinstance(phi, Fraction) for phi in pp.phis]
-    else:
-        th = pp.thetas
-        margins = (th[:, iu] - th[:, ju]) / (th[:, iu] + th[:, ju])
-        above, below = np.broadcast_to(iu, margins.shape), np.broadcast_to(ju, margins.shape)
-        exact = [all(isinstance(t, (Fraction, int)) for t in row) for row in th.tolist()]
-        if not any(exact):
-            margins = margins.astype(np.float64)
+    # one margin row per base, over its pairs i < j (i above j in the base)
+    table, exact = [], []
+    for base in bases:
+        if isinstance(base, _Utilities):
+            u = base.values
+            table.append([(u[i] - u[j]) / (u[i] + u[j]) for i, j in zip(iu.tolist(), ju.tolist())])
+            exact.append(all(issubclass(t, (Fraction, int)) for t in base.types))
+        else:
+            table.append([2 * mallows_pairwise(base, gap) - 1 for gap in (ju - iu).tolist()])
+            exact.append(isinstance(base, Fraction))
+    margins = np.array(table, dtype=object if any(exact) else np.float64)[index]
+    above, below = rows[:, iu].astype(np.intp), rows[:, ju].astype(np.intp)
     cells = np.concatenate([above * m + below, below * m + above], axis=1)
     values = np.concatenate([margins, -margins], axis=1) * pp.weights[:, None]
     if values.dtype == object:
@@ -605,31 +627,25 @@ def _mallows_density(central: Sequence[int], phi) -> np.ndarray:
     return dens / dens.sum()
 
 
-def _density(param: ModelParam) -> np.ndarray:
-    """Read-only normalized float density of ``param`` over
-    ``all_rankings(param.m)``, bit for bit the per-ranking float loop."""
-    if isinstance(param, MallowsParam):
-        pmf = _mallows_density(param.central.order, param.phi)
-    else:
-        dens = np.array([float(pl_pmf(param, r)) for r in all_rankings(param.m)])
-        pmf = dens / dens.sum()
-    pmf.setflags(write=False)
-    return pmf
-
-
 @lru_cache(maxsize=64, typed=True)
-def _alias_table(m: int, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pmf, prob, alias) of the Mallows density around the identity ranking.
+def _alias_table(m: int, base) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pmf, prob, alias) of a base of ``_types`` over ``all_rankings(m)``.
 
-    ``pmf`` is the float density around the identity, as
-    ``_density(MallowsParam(identity, phi))`` gives it.  ``prob`` and
-    ``alias`` are its Vose alias table: column c is kept with probability
-    ``prob[c]`` and otherwise replaced by ``alias[c]``, so a uniform column
-    plus one coin draws a ranking index with probability ``pmf``.  The
-    cache is typed, because ``Fraction(0.1)`` and ``0.1`` are equal but
-    their densities round apart.
+    ``pmf`` is the per-ranking float density, normalized: the Mallows
+    density around the identity at a dispersion, or each ranking's exact
+    ``pl_pmf`` under ``_Utilities``.  ``prob`` and ``alias`` are its Vose
+    alias table: column c is kept with probability ``prob[c]`` and
+    otherwise replaced by ``alias[c]``, so a uniform column plus one coin
+    draws a ranking index with probability ``pmf``.  The cache is typed
+    (and ``_Utilities`` carry their types), because ``Fraction(0.1)`` and
+    ``0.1`` are equal but their densities round apart.
     """
-    pmf = _mallows_density(tuple(range(m)), phi)
+    if isinstance(base, _Utilities):
+        param = PlackettLuceParam(base.values)
+        dens = np.array([float(pl_pmf(param, r)) for r in all_rankings(m)], dtype=np.float64)
+        pmf = dens / dens.sum()
+    else:
+        pmf = _mallows_density(tuple(range(m)), base)
     size = len(pmf)
     scaled = (pmf * size).tolist()
     prob = np.ones(size, dtype=np.float64)
@@ -672,20 +688,18 @@ DRAW_BLOCK = 4096
 
 
 @lru_cache(maxsize=1)
-def _relabel_table(m: int, centrals: bytes) -> np.ndarray:
-    """(T, m!) int16 table for the int16 (T, m) rows ``centrals``: entry
-    [t, b] is the ``_rankings_table`` index of the vote whose p-th
-    alternative is ``centrals[t, orders[b, p]]``, base ranking b relabeled
-    into central t.  Relabeling keeps KT distances, so it turns a Mallows
-    draw around the identity into one around central t.
+def _relabel_table(m: int, rows: bytes) -> np.ndarray:
+    """(T, m!) int16 table for the int16 (T, m) ``rows`` of ``_types``:
+    entry [t, b] is the ``_rankings_table`` index of base ranking b with
+    alternative i renamed ``rows[t, i]``, a draw of type t.
 
     Each vote is looked up by its base-m code, the matrix product of the
-    central row with ``m**(m-1-positions)``; blocks of about 2**16 entries
-    bound the temporaries.  The one entry kept is keyed by the rows' bytes,
-    so the trials around one profile build it once.
+    row with ``m**(m-1-positions)``; blocks of about 2**16 entries bound
+    the temporaries.  The one entry kept is keyed by the rows' bytes, so
+    the trials around one profile build it once.
     """
     orders, positions = _rankings_table(m)
-    rows = np.frombuffer(centrals, dtype=np.int16).reshape(-1, m)
+    rows = np.frombuffer(rows, dtype=np.int16).reshape(-1, m)
     powers = np.float64(m) ** (m - 1 - np.arange(m))
     index = np.zeros(m**m, dtype=np.int16)  # base-m code -> lexicographic index
     index[(orders @ powers).astype(np.intp)] = np.arange(len(orders), dtype=np.int16)
@@ -702,41 +716,36 @@ def _relabel_table(m: int, centrals: bytes) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _profile_sampler(pp: ParameterProfile) -> Callable[[np.random.Generator], np.ndarray]:
     """A function of an RNG drawing the counts over ``all_rankings(m)`` of
-    one vote per unit of weight of an integral Mallows profile, for m <=
-    SAMPLE_ENUM_MAX_M.  ParameterProfile is immutable and hashes by
-    identity, so the trials on one profile build this once.
+    one vote per unit of weight of an integral profile of either family,
+    for m <= SAMPLE_ENUM_MAX_M.  ParameterProfile is immutable and hashes
+    by identity, so the trials on one profile build this once.
 
-    Every draw is a base ranking from the density around the identity,
-    relabeled into its type's central through ``_relabel_table``.  A light
-    type (weight below m!) draws each voter from its dispersion's alias
-    table with one uniform, voter by voter in type order; a heavy type then
-    draws one multinomial over the base density, type by type, since m!
-    binomials cost less than that many alias draws.
+    Every draw is a ranking from its type's base (``_types``), relabeled
+    into the type through ``_relabel_table``.  A light type (weight below
+    m!) draws each voter from its base's alias table with one uniform,
+    voter by voter in type order; a heavy type then draws one multinomial
+    over its base's density, type by type, since m! binomials cost less.
 
-    The alias tables of all dispersions lie end to end in two flat arrays,
-    and the relabel table is read flat too, so each light voter needs just
-    two offsets, built here once: its dispersion's table and its type's
-    relabel row.  A call then draws DRAW_BLOCK voters at a time: one batch
-    of uniforms, 1-D ``take`` gathers through those offsets and one
-    ``bincount``, with temporaries the size of a block.
-
-    Every gather and scatter indexes with intp, so numpy casts no index:
-    the drawn column and the flat ``alias`` table are intp, and a heavy
-    type's relabel row is cast to intp for its scatter.  The per-voter
-    offsets stay int32, since an int32 offset plus an intp column is
-    already intp; the cached sampler keeps 8 bytes per light voter.
+    The alias tables of all bases lie end to end in two flat arrays, so
+    each light voter needs two offsets, built here once: its base's table
+    and its type's row of the flat relabel table.  A call draws DRAW_BLOCK
+    voters at a time: one batch of uniforms, 1-D ``take`` gathers and one
+    ``bincount``.  Every gather and scatter indexes with intp, so numpy
+    casts no index; the per-voter offsets stay int32 (an int32 offset
+    plus an intp column is intp), 8 bytes per light voter.
     """
-    m, size, counts, phi_index = pp.m, factorial(pp.m), _integral_counts(pp), pp.phi_index
-    relabel = _relabel_table(m, pp.centrals.tobytes())
-    tables = [_alias_table(m, phi) for phi in pp.phis]
+    m, size, counts = pp.m, factorial(pp.m), _integral_counts(pp)
+    rows, bases, index = _types(pp)
+    relabel = _relabel_table(m, rows.tobytes())
+    tables = [_alias_table(m, base) for base in bases]
     prob = np.array([t[1] for t in tables], dtype=np.float64).reshape(-1)
     alias = np.array([t[2] for t in tables], dtype=np.intp).reshape(-1)
     light = np.flatnonzero(counts < size)
     voter = np.repeat(light.astype(np.int32), counts[light])
-    table_at = phi_index[voter].astype(np.int32) * np.int32(size)
+    table_at = index[voter].astype(np.int32) * np.int32(size)
     relabel_at = voter * np.int32(size)
     flat_relabel = relabel.reshape(-1)
-    heavy = [(t, int(counts[t]), tables[phi_index[t]][0])
+    heavy = [(t, int(counts[t]), tables[index[t]][0])
              for t in np.flatnonzero(counts >= size).tolist()]
 
     def draw(rng: np.random.Generator) -> np.ndarray:
@@ -840,17 +849,14 @@ def sample_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
     """Draw one ranking per unit of weight, independently per type.
 
     Requires an integral parameter profile.  The samplers read its arrays
-    directly.  Three kernels:
+    directly.  Two kernels:
 
-    - Mallows, m <= SAMPLE_ENUM_MAX_M: ``_profile_sampler`` counts the votes
-      over the m! enumerated rankings.  A voter of a type lighter than m!
-      is one alias-table draw from the density around the identity, in
-      blocks of flat gathers; a heavier type draws one multinomial over
-      that density.  Either draw is then relabeled into the type's central
-      ranking.  The per-voter offsets are built once per profile.
-    - Plackett-Luce, m <= SAMPLE_ENUM_MAX_M: one multinomial per type over
-      the type's exact density.  Both are distributed identically to
-      per-draw sampling and far faster at gadget scales.
+    - m <= SAMPLE_ENUM_MAX_M, either family: ``_profile_sampler`` counts
+      the votes over the m! enumerated rankings.  Each type is a base
+      (``_types``) relabeled; a voter of a type lighter than m! is one
+      alias-table draw from its base, a heavier type one multinomial over
+      the base density, either relabeled into the type.  This is
+      distributed as per-draw sampling is, and far faster.
     - larger m: per-draw sampling into positions (``_drawn_positions``).
       A Mallows profile takes all its uniforms in one batch and decodes
       the repeated insertions in numpy; it reads the same uniforms in the
@@ -862,7 +868,7 @@ def sample_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
     The solvers read only its tally; ``sample_tally`` draws that directly.
     """
     if pp.m <= SAMPLE_ENUM_MAX_M:
-        return _tallied_profile(pp.m, _enumerated_counts(pp, rng))
+        return _tallied_profile(pp.m, _profile_sampler(pp)(rng))
     return _positions_profile(*_drawn_positions(pp, rng))
 
 
@@ -876,7 +882,7 @@ def sample_tally(pp: ParameterProfile, rng: np.random.Generator) -> Tally:
     noise around an election is ``mallows_parameter_profile``'s profile.
     """
     if pp.m <= SAMPLE_ENUM_MAX_M:
-        return _counts_tally(pp.m, _enumerated_counts(pp, rng))
+        return _counts_tally(pp.m, _profile_sampler(pp)(rng))
     return _positions_tally(*_drawn_positions(pp, rng))
 
 
@@ -885,16 +891,6 @@ def _integral_counts(pp: ParameterProfile) -> np.ndarray:
     if not pp.is_integral:
         raise ValueError("sampling requires an integral parameter profile")
     return pp.weights.astype(np.int64, copy=False)
-
-
-def _enumerated_counts(pp: ParameterProfile, rng: np.random.Generator) -> np.ndarray:
-    """Counts over ``all_rankings(pp.m)`` of one draw per unit of weight."""
-    if pp.thetas is None:
-        return _profile_sampler(pp)(rng)
-    counts = np.zeros(factorial(pp.m), dtype=np.int64)
-    for (param, _), w in zip(pp.entries, _integral_counts(pp).tolist()):
-        counts += rng.multinomial(w, _density(param))
-    return counts
 
 
 def _drawn_positions(

@@ -46,7 +46,7 @@ from votelab.models import (
     PlackettLuceParam,
     expected_wmg,
     mallows_pairwise,
-    param_pmf,
+    mallows_pmf,
     sample_profile,
     sample_tally,
 )
@@ -111,7 +111,7 @@ def test_triangle_orbit_enumeration_cross_check_m5():
     for a in range(5):
         for b in range(a + 1, 5):
             margin = sum(
-                (1 if r.prefers(a, b) else -1) * param_pmf(theta, r)
+                (1 if r.prefers(a, b) else -1) * mallows_pmf(theta, r)
                 for r in all_rankings(5)
             )
             assert margin == w.matrix[a, b]

@@ -549,6 +549,22 @@ def test_cli_gadget_sample_decompose(tmp_path):
     assert proc3.returncode == 0
 
 
+def test_cli_samples_a_pl_gadget(tmp_path):
+    from votelab.formats import format_parameter_profile, parse_profile
+
+    pp = gadgets.build_triangle_profile(gadgets.pl_witness(6))
+    gadget_path = tmp_path / "pl.pprofile"
+    gadget_path.write_text(format_parameter_profile(pp), encoding="utf-8")
+    sampled = tmp_path / "pl.profile"
+    proc = run_cli("sample", "--in", str(gadget_path), "--out", str(sampled),
+                   "--seed", "4", "--round-k", "6")
+    assert proc.returncode == 0, proc.stderr
+    n = int(gadgets.round_to_integral(pp, 6).total_weight)
+    assert json.loads(proc.stdout)["n"] == n
+    prof = parse_profile(sampled.read_text(encoding="utf-8"))
+    assert (prof.m, int(prof.n)) == (6, n)
+
+
 def test_cli_reduce_and_bm(tmp_path):
     inst_path = tmp_path / "tri.fas"
     tri = Digraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])

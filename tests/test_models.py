@@ -40,6 +40,11 @@ def ladder(m):
     return Ranking(tuple(range(m)))
 
 
+def _pmf(param, r):
+    """The exact density of a parameter of either family at ranking ``r``."""
+    return (mallows_pmf if isinstance(param, MallowsParam) else pl_pmf)(param, r)
+
+
 # ---------------------------------------------------------------------------
 # normalization constant
 # ---------------------------------------------------------------------------
@@ -264,14 +269,12 @@ def test_expected_wmg_enumeration_oracle_m3():
         PlackettLuceParam.from_utilities([2, Fraction(3, 2), 1]),
     ]:
         w = expected_wmg(param)
-        from votelab.models import param_pmf
-
         for a in range(3):
             for b in range(3):
                 if a == b:
                     continue
                 margin = sum(
-                    (1 if r.prefers(a, b) else -1) * param_pmf(param, r)
+                    (1 if r.prefers(a, b) else -1) * _pmf(param, r)
                     for r in all_rankings(3)
                 )
                 assert margin == w.weight(a, b)
@@ -312,6 +315,16 @@ def test_expected_wmg_profile_is_the_per_type_sum_bit_for_bit(m):
         utilities = [(rng.random(m) + 0.1).tolist(), [Fraction(k + 1) for k in range(m)]]
         profiles.append(ParameterProfile.from_entries(m, [
             (PlackettLuceParam.from_utilities(utilities[i % 2]), w) for i, w in enumerate(ws)]))
+    if m == 3:
+        # equal utilities, one exact and one float: two bases, kept apart by type
+        profiles.append(ParameterProfile.from_entries(3, [
+            (PlackettLuceParam((HALF, Fraction(1, 4), Fraction(1, 4))), 1),
+            (PlackettLuceParam((0.25, 0.5, 0.25)), 1)]))
+        from votelab.models import _alias_table, _types
+
+        bases = _types(profiles[-1])[1]
+        assert len(bases) == 2 and bases[0].values == bases[1].values
+        assert _alias_table(3, bases[0]) is not _alias_table(3, bases[1])
     for pp in profiles:
         got, want = expected_wmg(pp).matrix, _per_type_wmg(pp).matrix
         assert got.dtype == want.dtype
@@ -347,14 +360,12 @@ def test_model_neutrality():
     rng = np.random.default_rng(13)
     for param in [MallowsParam(Ranking((1, 0, 2, 3)), 0.6),
                   PlackettLuceParam.from_utilities([4, 3, 2, 1])]:
-        from votelab.models import param_pmf
-
         for _ in range(10):
             sigma = Permutation(tuple(rng.permutation(4).tolist()))
             moved = ParameterProfile.from_entries(4, [(param, 1)]).permuted(sigma).entries[0][0]
             for r in all_rankings(4):
-                assert param_pmf(param, r) == pytest.approx(
-                    float(param_pmf(moved, permute(sigma, r))), abs=1e-12
+                assert _pmf(param, r) == pytest.approx(
+                    float(_pmf(moved, permute(sigma, r))), abs=1e-12
                 )
 
 
@@ -383,6 +394,31 @@ def test_permuted_keeps_type_order_and_weights():
     for before, after in ((mallows, moved), (pl, moved_pl)):
         assert after.weights.tolist() == before.weights.tolist()
         assert after.weights.dtype == before.weights.dtype
+
+
+def test_negative_weights_rejected_where_weights_enter(monkeypatch):
+    # the constructor, from_entries and with_weights check signs; permuted
+    # shares the checked weights and runs no check
+    central = np.array([[2, 0, 1]], dtype=np.int16)
+    param = MallowsParam(ladder(3), HALF)
+    pp = ParameterProfile.from_entries(3, [(param, Fraction(2))])
+    for build in (lambda: ParameterProfile(3, [Fraction(-1)], central, (HALF,), [0]),
+                  lambda: ParameterProfile(3, [-1.0], thetas=np.full((1, 3), 1 / 3)),
+                  lambda: ParameterProfile.from_entries(3, [(param, -1)]),
+                  lambda: pp.with_weights([Fraction(-2)])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            build()
+
+    def refuse(self):
+        raise AssertionError("permuted re-checked the profile")
+
+    pl = ParameterProfile.from_entries(3, [(PlackettLuceParam((0.5, 0.3, 0.2)), 4)])
+    monkeypatch.setattr(ParameterProfile, "__post_init__", refuse)
+    sigma = Permutation((1, 2, 0))
+    for before in (pp, pl):
+        after = before.permuted(sigma)
+        assert after.weights is before.weights
+        assert not (after.thetas if after.family == "pl" else after.centrals).flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +726,50 @@ def test_enumerated_m7_draw_stream_is_pinned():
     ]
 
 
+def _pl_gadget_profile() -> ParameterProfile:
+    """The rounded two-triangle Plackett-Luce gadget profile, m = 6, K = 6."""
+    from votelab import gadgets
+    from votelab.core import Digraph
+
+    g = Digraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    return gadgets.round_to_integral(gadgets.build_eulerian_profile(g, gadgets.pl_witness(6)), 6)
+
+
+def _m7_pl_light_and_heavy_profile() -> ParameterProfile:
+    """Every 97th relabeling of the utilities 1..7, exact and float in
+    turn (two bases of equal values): 52 types, four of them heavy (weight
+    at least 7!), and 6,843 voters of light types."""
+    from itertools import islice, permutations
+
+    entries = []
+    for k, sigma in enumerate(islice(permutations(range(7)), 0, None, 97)):
+        utilities = [Fraction(sigma[a] + 1) if k % 2 else sigma[a] + 1.0 for a in range(7)]
+        w = 5040 + 300 * k if k % 13 == 0 else 1 + (53 * k) % 271
+        entries.append((PlackettLuceParam.from_utilities(utilities), w))
+    return ParameterProfile.from_entries(7, entries)
+
+
+def test_enumerated_pl_draw_stream_is_pinned():
+    # Plackett-Luce types are relabeled bases too: light voters take the
+    # alias draw and heavy types one multinomial, as Mallows types do
+    from votelab.models import _types
+
+    pp = _pl_gadget_profile()
+    assert (int(pp.total_weight), pp.type_count, len(_types(pp)[1])) == (46656, 30, 1)
+    assert [_draw_digest(pp, np.random.default_rng(seed)) for seed in (0, 1)] == [
+        "2e902ebf573708e46c0ec38dc37fd00292e3518b240a3890c0fd8e82aa2b4d8d",
+        "6eec43d483a73596343f3519e20b45c0c886912f2c749149f418824c07bac76c",
+    ]
+    pp = _m7_pl_light_and_heavy_profile()
+    weights = pp.weights.tolist()
+    assert (len(weights), sum(w >= 5040 for w in weights), len(_types(pp)[1])) == (52, 4, 2)
+    assert sum(w for w in weights if w < 5040) == 6843
+    assert [_draw_digest(pp, np.random.default_rng(seed)) for seed in (0, 1)] == [
+        "c9158d659f458c26a65ec7fc4a102137c50b51f3b439e6f3ee742415de0ef64b",
+        "8e11a8e68b617e0115ccdb38637840d87c7ec3d39c1e97a2f5e33e9ca9d877bb",
+    ]
+
+
 def test_enumerated_draw_memory_stays_per_block():
     # a warm draw of 46,008 voters allocates per DRAW_BLOCK, not per voter
     import tracemalloc
@@ -811,34 +891,46 @@ def test_pl_sample_concentrated_head():
 
 def _per_ranking_pmf(param):
     """Reference: one float density per enumerated ranking, then normalized."""
-    from votelab.models import param_pmf
-
-    dens = np.array([float(param_pmf(param, r)) for r in all_rankings(param.m)],
+    dens = np.array([float(_pmf(param, r)) for r in all_rankings(param.m)],
                     dtype=np.float64)
     return dens / dens.sum()
 
 
+def _base(param):
+    """The one base of ``_types`` that the profile of ``param`` has."""
+    from votelab.models import _types
+
+    rows, bases, index = _types(ParameterProfile.from_entries(param.m, [(param, 1)]))
+    return bases[index[0]]
+
+
 def test_pmf_vector_bit_identical_to_per_ranking_density():
-    from votelab.models import _density as pmf
+    from votelab.models import _alias_table, _mallows_density
 
     rng = np.random.default_rng(29)
     for m in range(2, 8):
         for phi in (HALF, Fraction(1), Fraction(2, 7), 0.3, 1.0, 0.77):
             param = MallowsParam(Ranking(tuple(rng.permutation(m).tolist())), phi)
-            assert pmf(param).tobytes() == _per_ranking_pmf(param).tobytes()
+            want = _per_ranking_pmf(param).tobytes()
+            assert _mallows_density(param.central.order, phi).tobytes() == want
         pl = PlackettLuceParam.from_utilities((rng.random(m) + 0.1).tolist())
-        assert pmf(pl).tobytes() == _per_ranking_pmf(pl).tobytes()
+        base = _base(pl)
+        assert list(base.values) == sorted(pl.theta, reverse=True)
+        assert _alias_table(m, base)[0].tobytes() == _per_ranking_pmf(
+            PlackettLuceParam(base.values)).tobytes()
 
 
 def test_pmf_vector_rounds_fraction_and_float_phi_as_the_density_does():
     # Fraction(0.1) == 0.1, but the exact density rounds once, the float one per step
-    from votelab.models import _density
+    from votelab.models import _alias_table, _mallows_density
 
-    exact = _density(MallowsParam(ladder(6), Fraction(0.1)))
-    approx = _density(MallowsParam(ladder(6), 0.1))
+    exact = _mallows_density(ladder(6).order, Fraction(0.1))
+    approx = _mallows_density(ladder(6).order, 0.1)
     assert exact.tobytes() == _per_ranking_pmf(MallowsParam(ladder(6), Fraction(0.1))).tobytes()
     assert approx.tobytes() == _per_ranking_pmf(MallowsParam(ladder(6), 0.1)).tobytes()
     assert exact.tobytes() != approx.tobytes()
+    assert _alias_table(6, Fraction(0.1))[0].tobytes() == exact.tobytes()
+    assert _alias_table(6, 0.1)[0].tobytes() == approx.tobytes()
 
 
 def test_resampled_mallows_profile_rebuilds_no_table():
@@ -1137,16 +1229,24 @@ def _random_central(m, rng):
     return Ranking(tuple(rng.permutation(m).tolist()))
 
 
+def _random_param(family, m, rng):
+    if family == "mallows":
+        return MallowsParam(_random_central(m, rng), 0.6)
+    return PlackettLuceParam.from_utilities((rng.random(m) + 0.1).tolist())
+
+
 def test_sample_profile_chi_square_light_type():
-    rng = np.random.default_rng(51)
-    pp = ParameterProfile.from_entries(4, [(MallowsParam(_random_central(4, rng), 0.6), 20)])
-    assert _pooled_p_value(pp, 4000, 52) > 0.001
+    for family in ("mallows", "pl"):
+        rng = np.random.default_rng(51)
+        pp = ParameterProfile.from_entries(4, [(_random_param(family, 4, rng), 20)])
+        assert _pooled_p_value(pp, 4000, 52) > 0.001
 
 
 def test_sample_profile_chi_square_heavy_type():
-    rng = np.random.default_rng(53)
-    pp = ParameterProfile.from_entries(4, [(MallowsParam(_random_central(4, rng), 0.6), 1000)])
-    assert _pooled_p_value(pp, 100, 54) > 0.001
+    for family in ("mallows", "pl"):
+        rng = np.random.default_rng(53)
+        pp = ParameterProfile.from_entries(4, [(_random_param(family, 4, rng), 1000)])
+        assert _pooled_p_value(pp, 100, 54) > 0.001
 
 
 def test_sample_profile_chi_square_two_dispersions():
@@ -1162,11 +1262,12 @@ def test_sample_profile_chi_square_two_dispersions():
 
 
 def test_sample_profile_chi_square_gadget_profile():
-    from votelab.gadgets import build_triangle_profile, mallows_witness, round_to_integral
+    from votelab.gadgets import build_triangle_profile, mallows_witness, pl_witness, round_to_integral
 
-    pp = round_to_integral(build_triangle_profile(mallows_witness(4, HALF)), 4)
-    assert pp.family == "mallows" and pp.type_count > 1
-    assert _pooled_p_value(pp, 400, 57) > 0.001
+    for witness in (mallows_witness(4, HALF), pl_witness(4)):
+        pp = round_to_integral(build_triangle_profile(witness), 4)
+        assert pp.type_count > 1
+        assert _pooled_p_value(pp, 400, 57) > 0.001
 
 
 def test_sampling_leaves_numpy_ma_unimported():
