@@ -16,12 +16,12 @@ from a master seed.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, groupby, permutations, repeat
 from math import factorial
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -170,8 +170,9 @@ class ParameterProfile:
     phis: tuple = ()
     phi_index: Optional[np.ndarray] = None
     thetas: Optional[np.ndarray] = None
+    _checked: InitVar[bool] = False  # merges sum weights already sign-checked
 
-    def __post_init__(self):
+    def __post_init__(self, _checked: bool):
         weights = self.weights
         if not isinstance(weights, np.ndarray):
             weights = weight_array(weights)
@@ -188,7 +189,7 @@ class ParameterProfile:
             object.__setattr__(self, "phis", tuple(map(_checked_phi, self.phis)))
         if rows.shape != (len(weights), self.m):
             raise ValueError("mismatched m in parameter profile")
-        if (weights < 0).any():
+        if not _checked and (weights < 0).any():
             raise ValueError("entry weights must be nonnegative")
         object.__setattr__(self, "weights", _readonly(weights))
 
@@ -264,12 +265,12 @@ class ParameterProfile:
         weights = weight_array([w for p in parts for w in p.weights.tolist()])
         if parts[0].thetas is not None:
             thetas = np.concatenate([p.thetas for p in parts])
-            return ParameterProfile(self.m, weights, thetas=thetas)._merged()
+            return ParameterProfile(self.m, weights, thetas=thetas, _checked=True)._merged()
         phis, index = _typed_index(phi for p in parts for phi in p.phis)
         offsets = np.cumsum([0] + [len(p.phis) for p in parts])
         phi_index = np.concatenate([index[o:][p.phi_index] for p, o in zip(parts, offsets)])
         centrals = np.concatenate([p.centrals for p in parts])
-        return ParameterProfile(self.m, weights, centrals, phis, phi_index)._merged()
+        return ParameterProfile(self.m, weights, centrals, phis, phi_index, _checked=True)._merged()
 
     def permuted(self, sigma: Permutation) -> "ParameterProfile":
         """Relabel every type so its distribution commutes with relabeled
@@ -295,7 +296,8 @@ class ParameterProfile:
             first, weights = _merge_rows(keys.reshape(-1, 1), self.weights)
             order = sorted(range(len(first)), key=lambda t: (
                 tuple(map(float, rows[first[t]])), str(rows[first[t]])))
-            return ParameterProfile(self.m, weights[order], thetas=self.thetas[first[order]])
+            return ParameterProfile(self.m, weights[order], thetas=self.thetas[first[order]],
+                                    _checked=True)
         # equal dispersions of different types (Fraction(1, 2) and 0.5) share a class
         values: dict = {}
         classes = [values.setdefault(p, j) for j, p in enumerate(self.phis)]
@@ -313,7 +315,8 @@ class ParameterProfile:
         renumber = np.zeros(len(self.phis), dtype=np.intp)
         renumber[used] = np.arange(len(used))
         phis = tuple(self.phis[j] for j in used)
-        return ParameterProfile(self.m, weights[order], centrals[order], phis, renumber[phi_index])
+        return ParameterProfile(self.m, weights[order], centrals[order], phis,
+                                renumber[phi_index], _checked=True)
 
 
 def _as_profile(x: ModelParam | ParameterProfile) -> ParameterProfile:
@@ -633,16 +636,21 @@ def _alias_table(m: int, base) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     ``pmf`` is the per-ranking float density, normalized: the Mallows
     density around the identity at a dispersion, or each ranking's exact
-    ``pl_pmf`` under ``_Utilities``.  ``prob`` and ``alias`` are its Vose
-    alias table: column c is kept with probability ``prob[c]`` and
-    otherwise replaced by ``alias[c]``, so a uniform column plus one coin
-    draws a ranking index with probability ``pmf``.  The cache is typed
+    ``pl_pmf`` under ``_Utilities``, whose steps rankings sharing a prefix
+    take once.  ``prob`` and ``alias`` are its Vose alias table: column c
+    is kept with probability ``prob[c]`` and otherwise replaced by
+    ``alias[c]``, so a uniform column plus one coin draws a ranking index
+    with probability ``pmf``.  The cache is typed
     (and ``_Utilities`` carry their types), because ``Fraction(0.1)`` and
     ``0.1`` are equal but their densities round apart.
     """
     if isinstance(base, _Utilities):
-        param = PlackettLuceParam(base.values)
-        dens = np.array([float(pl_pmf(param, r)) for r in all_rankings(m)], dtype=np.float64)
+        theta = PlackettLuceParam(base.values).theta
+        level = [(theta[0] ** 0, sum(theta), tuple(range(m)))]  # (product, tail, unplaced)
+        for _ in range(m - 1):  # each prefix's steps once, its children in order
+            level = [(prob * (theta[a] / tail), tail - theta[a], left[:i] + left[i + 1 :])
+                     for prob, tail, left in level for i, a in enumerate(left)]
+        dens = np.array([float(prob) for prob, _, _ in level], dtype=np.float64)
         pmf = dens / dens.sum()
     else:
         pmf = _mallows_density(tuple(range(m)), base)
@@ -680,10 +688,10 @@ def _alias_draw(
     return np.where(x - col < prob.take(table), col, alias.take(table))
 
 
-#: voters per block of ``_profile_sampler``'s draws and ``_positions_tally``'s
-#: scatter; small blocks keep their temporaries in cache.  The sampler's
-#: index temporaries are intp, 32 KB a block; its stored per-voter offsets
-#: stay int32
+#: voters per block of ``_profile_sampler``'s and ``_mallows_positions``'s
+#: draws and of ``_positions_tally``; small blocks keep their temporaries in
+#: cache and bound a draw's memory.  The m <= 7 sampler's index temporaries
+#: are intp, 32 KB a block; its stored per-voter offsets stay int32
 DRAW_BLOCK = 4096
 
 
@@ -762,87 +770,99 @@ def _profile_sampler(pp: ParameterProfile) -> Callable[[np.random.Generator], np
     return draw
 
 
-def _mallows_positions(
-    centrals: np.ndarray, counts: np.ndarray, phis: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Repeated-insertion draws: ``counts[e]`` votes around central row
-    ``centrals[e]`` at float dispersion ``phis[e]``, entry by entry.
-
-    Returns ``(entry, pos)``: voter v is a draw of entry ``entry[v]``, and
-    ``pos[v, s]`` is the position of that central's s-th alternative in
-    its vote.  Consumes the same uniforms in the same order as one
-    ``mallows_sample`` call per unit of weight, entry by entry, and makes
-    each insertion choice with the same float arithmetic, so the votes
-    equal those calls' results.  All (W, m-1) uniforms are drawn at once.
-    Step i (i = 2..m) inserts the i-th central alternative at the first
-    index whose cumulative weight exceeds u * total; the cumulative weights
-    never decrease, so a right-sided search finds that index.  The slots
-    are then decoded into positions in O(W m^2).
-    """
-    m = centrals.shape[1]
-    entry = np.repeat(np.arange(len(counts)), counts)
-    voter_phis = phis[entry]
-    u = rng.random((len(entry), m - 1))
-    slots = np.zeros((len(entry), m), dtype=np.int16)
-    # distinct dispersions in sorted order, as np.unique gives them without
-    # importing numpy.ma; no draw happens in this loop
-    ordered = np.sort(phis)
-    distinct = ordered[:1].tolist() + ordered[1:][ordered[1:] != ordered[:-1]].tolist()
-    for phi in distinct:
-        rows = np.flatnonzero(voter_phis == phi)
-        for i in range(2, m + 1):
-            weights = phi ** np.arange(i - 1, -1, -1, dtype=np.float64)
-            cum = np.cumsum(weights)  # sequential, as the scalar loop adds
-            found = np.searchsorted(cum, u[rows, i - 2] * weights.sum(), side="right")
-            slots[rows, i - 1] = np.minimum(found, i - 1)
-    # pos[:, s]: where the s-th central alternative sits after the insertions so far
-    pos = np.zeros((len(entry), m), dtype=np.int16)
-    for s in range(1, m):
+def _insert(pos: np.ndarray, slots: np.ndarray, start: int) -> np.ndarray:
+    """Insertions ``start``.. into ``pos[v, s]``, the position of the s-th
+    alternative: s goes to index ``slots[v, s]``, pushing those below."""
+    for s in range(start, pos.shape[1]):
         slot = slots[:, s : s + 1]
         pos[:, :s] += pos[:, :s] >= slot
         pos[:, s] = slot[:, 0]
-    return entry, pos
+    return pos
 
 
-def _positions_profile(centrals: np.ndarray, entry: np.ndarray, pos: np.ndarray) -> Profile:
-    """The aggregated profile of the votes in which voter v places
-    alternative ``centrals[entry[v], s]`` at position ``pos[v, s]``."""
-    votes = np.empty(pos.shape, dtype=np.int16)
-    votes[np.arange(len(entry))[:, None], pos] = centrals[entry]
-    return Profile(pos.shape[1], votes, np.ones(len(votes), dtype=np.int64)).aggregated()
+@lru_cache(maxsize=8)
+def _insertion_table(k: int) -> np.ndarray:
+    """Read-only (k!, k) int16 ``_insert`` positions of k insertions: row c
+    decodes the mixed-radix code c = sum of slot_s * s!, slot_s in 0..s."""
+    codes = np.arange(factorial(k))
+    slots = np.array([codes // factorial(s) % (s + 1) for s in range(k)], dtype=np.int16).T
+    return _readonly(_insert(np.zeros((len(codes), k), dtype=np.int16), slots, 1))
 
 
-def _positions_tally(centrals: np.ndarray, entry: np.ndarray, pos: np.ndarray) -> Tally:
-    """``Tally.of(_positions_profile(centrals, entry, pos))``, without the
+def _mallows_positions(
+    centrals: np.ndarray, counts: np.ndarray, phis: np.ndarray, rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Repeated-insertion draws: ``counts[e]`` votes around central row
+    ``centrals[e]`` at float dispersion ``phis[e]``, entry by entry.
+
+    Yields ``(entry, pos)`` per DRAW_BLOCK voters: voter v, a draw of entry
+    ``entry[v]``, puts its central's s-th alternative at ``pos[v, s]``.  The
+    uniforms (one (b, m-1) batch a block) and each slot's float arithmetic
+    (a right-sided search of the cumulative weights) are those of one
+    ``mallows_sample`` call per unit of weight, so the votes are too.  One
+    gather from ``_insertion_table(k)`` decodes the first k = min(m, 8).
+    """
+    m = centrals.shape[1]
+    k = min(m, 8)
+    table, radix = _insertion_table(k), np.array([factorial(s) for s in range(k)])
+    entry = np.repeat(np.arange(len(counts)), counts)
+    # distinct dispersions in sorted order, as np.unique gives them without
+    # importing numpy.ma, each with its steps' cumulative weights and total
+    ordered = np.sort(phis)
+    steps = []
+    for phi in ordered[:1].tolist() + ordered[1:][ordered[1:] != ordered[:-1]].tolist():
+        weights = [phi ** np.arange(i - 1, -1, -1, dtype=np.float64) for i in range(2, m + 1)]
+        steps.append((phi, [(np.cumsum(w), w.sum()) for w in weights]))  # sequential sums
+    for lo in range(0, len(entry), DRAW_BLOCK):
+        block = entry[lo : lo + DRAW_BLOCK]
+        u = rng.random((len(block), m - 1))
+        voter_phis = phis[block]
+        slots = np.zeros((len(block), m), dtype=np.int16)
+        for phi, cums in steps:
+            rows = np.flatnonzero(voter_phis == phi)
+            for i, (cum, total) in enumerate(cums, start=2):
+                found = np.searchsorted(cum, u[rows, i - 2] * total, side="right")
+                slots[rows, i - 1] = np.minimum(found, i - 1)
+        pos = np.empty(slots.shape, dtype=np.int16)
+        pos[:, :k] = table.take(slots[:, :k] @ radix, axis=0)
+        yield block, _insert(pos, slots, k)
+
+
+def _positions_profile(centrals: np.ndarray, blocks: Iterable) -> Profile:
+    """The aggregated profile of the votes of the blocks ``(entry, pos)``:
+    voter v places alternative ``centrals[entry[v], s]`` at ``pos[v, s]``."""
+    votes = np.concatenate([np.zeros((0, centrals.shape[1]), dtype=np.int16)] + [
+        np.take_along_axis(centrals[entry], pos.argsort(axis=1), axis=1) for entry, pos in blocks])
+    return Profile(votes.shape[1], votes, np.ones(len(votes), dtype=np.int64)).aggregated()
+
+
+def _positions_tally(centrals: np.ndarray, blocks: Iterable) -> Tally:
+    """``Tally.of(_positions_profile(centrals, blocks))``, without the
     profile: no vote rows, no sort.
 
-    The n voters' positions go, DRAW_BLOCK voters at a time, into an
-    alternative-major (m, n) array, whose row a holds every voter's
-    position of alternative a; its transpose holds one position row per
-    voter, which ``_tally_rows`` tallies as one vote each.  The
-    lexicographically first vote is found by filtering the voters position
-    by position: its next alternative is the smallest one that a voter
-    still in the running places there.
+    Each block's positions go into an alternative-major (m, b) array for
+    ``_tally_rows``; the blocks' N and position sums add up.  A block's
+    lexicographically first vote is found position by position, the next
+    alternative being the smallest one a voter still in the running places
+    there, and the election's is the least of them.
     """
-    n, m = pos.shape
-    place = np.empty((m, n), dtype=np.int16)  # place[a, v]: position of a in vote v
-    flat = place.reshape(-1)
-    for lo in range(0, n, DRAW_BLOCK):
-        hi = min(lo + DRAW_BLOCK, n)
-        alternatives = centrals[entry[lo:hi]].T.astype(np.intp)
-        flat[alternatives * n + np.arange(lo, hi)] = pos[lo:hi].T
-    vote = None
-    if n:
-        voters, order = np.arange(n), []
-        for p in range(m):
+    m = centrals.shape[1]
+    n, tally, vote = 0, _tally_rows(np.zeros((0, m), dtype=np.int16)), None
+    for entry, pos in blocks:
+        b = len(entry)
+        place = np.empty((m, b), dtype=np.int16)  # place[a, v]: position of a in vote v
+        place.reshape(-1)[centrals[entry].T.astype(np.intp) * b + np.arange(b)] = pos.T
+        n, tally = n + b, [t + block for t, block in zip(tally, _tally_rows(place.T))]
+        voters, order = np.arange(b), []
+        for p in range(m if b else 0):
             for a in sorted(set(range(m)).difference(order)):
                 hit = place[a, voters] == p
                 if hit.any():
                     break
             voters = voters[hit]
             order.append(a)
-        vote = Ranking(tuple(order))
-    return Tally(m, n, *_tally_rows(place.T), vote)
+        vote = min(vote or order, order) if order else vote
+    return Tally(m, n, *tally, None if vote is None else Ranking(tuple(vote)))
 
 
 def sample_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
@@ -858,8 +878,8 @@ def sample_profile(pp: ParameterProfile, rng: np.random.Generator) -> Profile:
       the base density, either relabeled into the type.  This is
       distributed as per-draw sampling is, and far faster.
     - larger m: per-draw sampling into positions (``_drawn_positions``).
-      A Mallows profile takes all its uniforms in one batch and decodes
-      the repeated insertions in numpy; it reads the same uniforms in the
+      A Mallows profile draws and decodes DRAW_BLOCK voters at a time in
+      numpy and concatenates the blocks; it reads the same uniforms in the
       same order as one ``mallows_sample`` call per unit of weight and
       returns the same votes.  Plackett-Luce draws one ``pl_sample`` at a
       time.
@@ -878,8 +898,9 @@ def sample_tally(pp: ParameterProfile, rng: np.random.Generator) -> Tally:
 
     For m <= SAMPLE_ENUM_MAX_M the tally is read off the m! counts.  Above
     it, the same per-draw positions as ``sample_profile`` are tallied
-    directly (``_positions_tally``), without vote rows or a sort.  Mallows
-    noise around an election is ``mallows_parameter_profile``'s profile.
+    block by block as they are drawn (``_positions_tally``), with no vote
+    rows and no sort.  Mallows noise around an election is
+    ``mallows_parameter_profile``'s profile.
     """
     if pp.m <= SAMPLE_ENUM_MAX_M:
         return _counts_tally(pp.m, _profile_sampler(pp)(rng))
@@ -893,12 +914,11 @@ def _integral_counts(pp: ParameterProfile) -> np.ndarray:
     return pp.weights.astype(np.int64, copy=False)
 
 
-def _drawn_positions(
-    pp: ParameterProfile, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _drawn_positions(pp: ParameterProfile, rng: np.random.Generator) -> tuple[np.ndarray, Iterable]:
     """Per-draw sampling, for m above SAMPLE_ENUM_MAX_M, as the
-    ``(centrals, entry, pos)`` that ``_positions_profile`` and
-    ``_positions_tally`` read."""
+    ``(centrals, blocks)`` that ``_positions_profile`` and
+    ``_positions_tally`` read; a Plackett-Luce profile's votes are one
+    block, a Mallows profile's are drawn lazily."""
     counts = _integral_counts(pp)
     if pp.thetas is not None:
         rows = [pl_sample(p, rng).order
@@ -906,9 +926,9 @@ def _drawn_positions(
         votes = np.array(rows, dtype=np.int16).reshape(-1, pp.m)
         # each vote is its own central, read in order
         order = np.broadcast_to(np.arange(pp.m, dtype=np.int16), votes.shape)
-        return votes, np.arange(len(votes)), order
+        return votes, [(np.arange(len(votes)), order)]
     phis = np.array([float(phi) for phi in pp.phis], dtype=np.float64)[pp.phi_index]
-    return pp.centrals, *_mallows_positions(pp.centrals, counts, phis, rng)
+    return pp.centrals, _mallows_positions(pp.centrals, counts, phis, rng)
 
 
 def _tallied_profile(m: int, counts: np.ndarray) -> Profile:

@@ -421,6 +421,25 @@ def test_negative_weights_rejected_where_weights_enter(monkeypatch):
         assert not (after.thetas if after.family == "pl" else after.centrals).flags.writeable
 
 
+def test_merges_compare_each_new_weight_with_zero_once(monkeypatch):
+    # with_weights checks its new weights once; union and the merge after
+    # either one sum weights already checked and compare none again
+    rng = np.random.default_rng(3)
+    parts = [ParameterProfile.from_entries(4, [
+        (MallowsParam(Ranking(tuple(rng.permutation(4).tolist())), phi), Fraction(k + 1, 3))
+        for k, phi in enumerate((HALF, 0.3, HALF, HALF))]) for _ in range(3)]
+    calls = []
+    less = Fraction.__lt__
+    monkeypatch.setattr(Fraction, "__lt__", lambda a, b: calls.append(a) or less(a, b))
+    joined = parts[0].union(*parts[1:])
+    assert calls == [] and joined.total_weight == 3 * Fraction(10, 3)
+    new = [Fraction(k, 7) for k in range(joined.type_count)]
+    assert joined.with_weights(new).total_weight == sum(new)
+    assert calls == new
+    with pytest.raises(ValueError, match="nonnegative"):
+        joined.with_weights([Fraction(-1)] * joined.type_count)
+
+
 # ---------------------------------------------------------------------------
 # expected-distance bounds
 # ---------------------------------------------------------------------------
@@ -625,6 +644,113 @@ def test_sample_tally_builds_no_profile_above_enumeration(monkeypatch, family):
     assert got.vote == want.vote and got.n == want.n
     assert np.array_equal(got.matrix, want.matrix)
     assert np.array_equal(got.position_sums, want.position_sums)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_insertion_table_decodes_every_code(k):
+    # code c holds slot_s = c // s! % (s + 1) for s < k; inserting the s-th
+    # central alternative at that index of a list, as mallows_sample does,
+    # leaves alternative s at position table[c, s]
+    from votelab.models import _insertion_table
+
+    table = _insertion_table(k)
+    assert table.shape == (math.factorial(k), k) and table.dtype == np.int16
+    assert not table.flags.writeable
+    for c in range(math.factorial(k)):
+        order: list[int] = []
+        for s in range(k):
+            order.insert(c // math.factorial(s) % (s + 1), s)
+        assert table[c].tolist() == [order.index(s) for s in range(k)]
+
+
+def _large_m_profile(m: int, weights, phis) -> ParameterProfile:
+    rng = np.random.default_rng(m)
+    return ParameterProfile.from_entries(m, [
+        (MallowsParam(Ranking(tuple(rng.permutation(m).tolist())), phi), w)
+        for w, phi in zip(weights, phis)])
+
+
+def _positions_digests(pp: ParameterProfile, seed: int) -> tuple[str, str]:
+    """sha256 of the tally drawn by ``sample_tally`` (N, position sums,
+    first vote, generator state after) and of the profile drawn by
+    ``sample_profile`` (votes, weights, generator state after)."""
+    import hashlib
+    import json
+
+    digests = []
+    for sample in (sample_tally, sample_profile):
+        rng = np.random.default_rng(seed)
+        got, h = sample(pp, rng), hashlib.sha256()
+        if sample is sample_tally:
+            parts = [got.matrix.tobytes(), got.position_sums.tobytes(),
+                     repr(got.vote and got.vote.order).encode()]
+        else:
+            parts = [got.votes.tobytes(), got.weights.tobytes()]
+        for part in parts + [json.dumps(rng.bit_generator.state, sort_keys=True).encode()]:
+            h.update(part)
+        digests.append(h.hexdigest())
+    return tuple(digests)
+
+
+def test_large_m_draw_streams_are_pinned():
+    # recorded before the m >= 8 draw ran in DRAW_BLOCK voter blocks and
+    # decoded its first eight insertions through one table gather
+    from votelab.models import DRAW_BLOCK
+
+    weights = [1 + (389 * t) % 997 for t in range(30)]
+    m8 = _large_m_profile(8, weights, (0.3, HALF) * 15)
+    ends = np.cumsum(m8.weights)
+    assert ends[-1] > 3 * DRAW_BLOCK and set(map(float, m8.phis)) == {0.3, 0.5}
+    # some type's first and last voters fall in different blocks
+    assert any((e - w) // DRAW_BLOCK < (e - 1) // DRAW_BLOCK for e, w in zip(ends, m8.weights))
+    m9 = _large_m_profile(9, (700, 3, 2900, 41, 1200), (HALF, 0.8, HALF, 0.2, 0.8))
+    m12 = _large_m_profile(12, (900, 1, 3500, 60), (0.4, HALF, 0.9, 0.4))
+    empty = ParameterProfile.from_entries(8, [])
+    got = {name: [_positions_digests(pp, seed) for seed in (0, 1)]
+           for name, pp in (("m8", m8), ("m9", m9), ("m12", m12), ("empty", empty))}
+    assert got == {
+        "m8": [
+            ("bc14fc516f67613f8760456ad559d42cbf669f4121af4b5ff639d08ac8207666",
+             "fb46e4c1e1f4726eba5b4b02a7d2a7373750cd0d907e1252e3eb5f6f82ad5d17"),
+            ("9c1e5565e139e80f1f1b121016316954c72b69c40a7c0aa1e8da7539e8352690",
+             "f243ce2324fbbdcace83f42275dcbb50dcf6909416ff30592cfb1c18b4e79698"),
+        ],
+        "m9": [
+            ("38ac9bbf4fec528bd04fe16feb8f50ca7040d6ed66335634d1d25d6ed111617d",
+             "815c7484e07bdf7ac877bd6d931193a74d43f6785992951eecff26432aa0d7af"),
+            ("49e5770fc5c0e9dd4c550e61bfe458b1a3662058ad392796103168cebd697822",
+             "7081b0f6d52a46a1b5b4e9e08c0a6c28c20d2a395f438580c6ef0fb4a3469a8e"),
+        ],
+        "m12": [
+            ("3143d2c2dd8c02a00484ed8bafba31815145e97827971479e16487c0e36d02c3",
+             "c50d7a17f5bc00f887d88fd3697e6cadcb0cbe612802a2a4126be5bdd530cb03"),
+            ("86a339d9a1728d039e128d67fcd4ff8ddf3bf4abbea48da6e0b745104caa49ea",
+             "fd1ad7a5b371a43c334c4e8264087599025c3ceeff7f0f2b8fe956d18d2dbbd2"),
+        ],
+        "empty": [
+            ("81559b17d476f05db8290de20ddb64b67f273712d43d32cb0463c06277d6e64c",
+             "96302b4281adc7b1408b3586585707fa7137008bc5d53b0e57a31043ef710231"),
+            ("53f2184b491458948a11b4c7c8eed771a7e9da957a50cfd96c97e0af5a95c7c8",
+             "7e62aff6a05eb04c8cbd213db85fb005c1d313afd3b962c07a8fcd11084b42cf"),
+        ],
+    }
+
+
+def test_large_m_draw_memory_stays_per_block():
+    # 10**6 voters at m = 8: only the per-voter entry index outlives a block
+    import tracemalloc
+
+    pp = _large_m_profile(8, [20_000] * 50, (0.3, HALF) * 25)
+    assert pp.total_weight == 10**6
+    sample_tally(pp, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sample_tally(pp, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
 
 
 def _reduce_m6_profile() -> ParameterProfile:
@@ -918,6 +1044,20 @@ def test_pmf_vector_bit_identical_to_per_ranking_density():
         assert list(base.values) == sorted(pl.theta, reverse=True)
         assert _alias_table(m, base)[0].tobytes() == _per_ranking_pmf(
             PlackettLuceParam(base.values)).tobytes()
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_exact_pl_base_density_is_the_per_ranking_density(m):
+    # the prefix-tree walk shares each prefix's Fraction product and tail;
+    # every ranking's density still rounds once, from the same value
+    from votelab.models import _alias_table
+
+    rng = np.random.default_rng(m)
+    pl = PlackettLuceParam.from_utilities([Fraction(int(v)) for v in rng.integers(1, 40, m)])
+    base = _base(pl)
+    assert all(isinstance(t, Fraction) for t in base.values)
+    assert _alias_table(m, base)[0].tobytes() == _per_ranking_pmf(
+        PlackettLuceParam(base.values)).tobytes()
 
 
 def test_pmf_vector_rounds_fraction_and_float_phi_as_the_density_does():
